@@ -99,59 +99,52 @@ let check_index ix =
   name
 
 (* The micro-pmem section: every substrate accessor must report a finite,
-   non-negative ns/op, in both the single- and multi-domain tables. *)
+   non-negative ns/op, in the single- and multi-domain tables, and the
+   sanitizer-overhead table must carry finite off/on costs per op. *)
 let check_micro_pmem doc =
   let m = get doc "micro_pmem" in
-  let table key required =
+  let obj key =
     match get m key with
-    | J.Obj rows ->
-        List.iter
-          (fun (n, v) ->
-            let x = num ("micro_pmem." ^ key ^ "." ^ n) v in
-            if not (x >= 0.0 && Float.is_finite x) then
-              fail "micro_pmem.%s.%s: bad ns/op %g" key n x)
-          rows;
-        List.iter
-          (fun r ->
-            if not (List.mem_assoc r rows) then
-              fail "micro_pmem.%s: required op %S missing" key r)
-          required
+    | J.Obj rows -> rows
     | _ -> fail "micro_pmem.%s: not an object" key
+  in
+  let table key required =
+    let rows = obj key in
+    List.iter
+      (fun (n, v) ->
+        let x = num ("micro_pmem." ^ key ^ "." ^ n) v in
+        if not (x >= 0.0 && Float.is_finite x) then
+          fail "micro_pmem.%s.%s: bad ns/op %g" key n x)
+      rows;
+    List.iter
+      (fun r ->
+        if not (List.mem_assoc r rows) then
+          fail "micro_pmem.%s: required op %S missing" key r)
+      required
   in
   table "single_domain_ns_per_op"
     [ "words_get"; "words_set"; "words_cas"; "words_clwb" ];
   table "multi_domain_ns_per_op" [ "mt_words_get"; "mt_words_cas_shared" ];
-  (* The sanitizer-overhead table arrived after the first committed reports;
-     validate it only when present so older reports keep checking. *)
-  match J.member "sanitize_ns_per_op" m with
-  | None -> ()
-  | Some (J.Obj rows) ->
-      List.iter
-        (fun (n, v) ->
-          let cell k =
-            num
-              ("micro_pmem.sanitize_ns_per_op." ^ n ^ "." ^ k)
-              (get v k)
-          in
-          let off = cell "off" and on_ = cell "on" in
-          ignore (cell "ratio");
-          if not (off >= 0.0 && Float.is_finite off) then
-            fail "micro_pmem.sanitize_ns_per_op.%s: bad off ns/op %g" n off;
-          if not (on_ >= 0.0 && Float.is_finite on_) then
-            fail "micro_pmem.sanitize_ns_per_op.%s: bad on ns/op %g" n on_)
-        rows
-  | Some _ -> fail "micro_pmem.sanitize_ns_per_op: not an object"
+  List.iter
+    (fun (n, v) ->
+      let cell k =
+        num ("micro_pmem.sanitize_ns_per_op." ^ n ^ "." ^ k) (get v k)
+      in
+      let off = cell "off" and on_ = cell "on" in
+      ignore (cell "ratio");
+      if not (off >= 0.0 && Float.is_finite off) then
+        fail "micro_pmem.sanitize_ns_per_op.%s: bad off ns/op %g" n off;
+      if not (on_ >= 0.0 && Float.is_finite on_) then
+        fail "micro_pmem.sanitize_ns_per_op.%s: bad on ns/op %g" n on_)
+    (obj "sanitize_ns_per_op")
 
-(* The recovery table arrived with the fault-injection subsystem; validate
-   it only when present so older reports keep checking.  When present it
-   must cover every index, carry well-formed counters, and report a clean
-   verdict: zero lost acknowledged operations, zero wrong values, zero
-   stalls — the recovery-under-load invariant is part of the schema, not
-   just of the test suite. *)
+(* The recovery table must cover every index, carry well-formed counters,
+   and report a clean verdict: zero lost acknowledged operations, zero
+   wrong values, zero stalls — the recovery-under-load invariant is part of
+   the schema, not just of the test suite. *)
 let check_recovery doc =
-  match J.member "recovery" doc with
-  | None -> ()
-  | Some (J.Obj rows) ->
+  match get doc "recovery" with
+  | J.Obj rows ->
       List.iter
         (fun (name, v) ->
           let cell k = num ("recovery." ^ name ^ "." ^ k) (get v k) in
@@ -179,37 +172,23 @@ let check_recovery doc =
           if not (List.mem_assoc r rows) then
             fail "recovery: required index %S missing" r)
         required_indexes
-  | Some _ -> fail "recovery: not an object"
+  | _ -> fail "recovery: not an object"
 
-(* The serve table arrived with the KV service layer (lib/kvserve);
-   validate it only when present so older reports keep checking.  When
-   present it must sweep at least two shard counts with both the
-   group-persist and per-op-persist rows for each, every row well-formed,
-   and batching must not increase flushes per operation — and must strictly
-   reduce fences per operation — versus the per-op ablation on the same
-   traffic.  The batching win is part of the schema, not just a claim.
+let persist_mode ctx r =
+  match J.to_str (get r "persist_mode") with
+  | Some (("per_op" | "epoch") as m) -> m
+  | Some m -> fail "%s: unknown persist_mode %S" ctx m
+  | None -> fail "%s: persist_mode missing" ctx
 
-   From schema recipe-bench/2 every serve row must additionally carry the
-   [latency_breakdown] table: one entry per (shard, phase), percentiles
-   ordered, spans actually sampled, and — since per span the pipeline
-   phases sum to at most ack by construction — the phase means must sum to
-   at most the ack mean (within tolerance for histogram bucketing).  That
-   last inequality is what makes the breakdown an *attribution* of ack
-   latency rather than an unrelated measurement.
+(* Every serve row carries the [latency_breakdown] table: one entry per
+   (shard, phase), percentiles ordered, spans actually sampled, and —
+   since per span the pipeline phases sum to at most ack by construction —
+   the phase means must sum to at most the ack mean (within tolerance for
+   histogram bucketing).  That last inequality is what makes the breakdown
+   an *attribution* of ack latency rather than an unrelated measurement. *)
+let serve_phases = [ "queue"; "apply"; "epoch_wait"; "fence"; "ack" ]
 
-   From schema recipe-bench/3 rows carry [persist_mode]
-   ("per_op"|"group"|"epoch") instead of the [group_persist] bool, the
-   breakdown gains the epoch_wait phase (parked / batch-tail wait, split
-   out of fence), every shard count must sweep all three modes, and —
-   unless perf gates are waived for freshly generated smoke reports — the
-   epoch mode must never be a loss: sfence/op at or below group mode's,
-   throughput at or above per-op mode's, ack p99 within 2x per-op mode's.
-   Committed BENCH_pr7+.json reports are validated with the gates on. *)
-let serve_phases ~version =
-  if version >= 3 then [ "queue"; "apply"; "epoch_wait"; "fence"; "ack" ]
-  else [ "queue"; "apply"; "fence"; "ack" ]
-
-let check_breakdown ~version ix shards r =
+let check_breakdown ix shards r =
   let entries =
     match J.to_list (get r "latency_breakdown") with
     | Some l -> l
@@ -222,7 +201,7 @@ let check_breakdown ~version ix shards r =
         let sid = int_of_float (num (ctx ^ ".shard") (get e "shard")) in
         let phase =
           match J.to_str (get e "phase") with
-          | Some p when List.mem p (serve_phases ~version) -> p
+          | Some p when List.mem p serve_phases -> p
           | Some p -> fail "%s: unknown phase %S" ctx p
           | None -> fail "%s: phase missing" ctx
         in
@@ -248,7 +227,7 @@ let check_breakdown ~version ix shards r =
       List.fold_left
         (fun a phase -> a +. snd (lookup sid phase))
         0.0
-        (List.filter (fun p -> p <> "ack") (serve_phases ~version))
+        (List.filter (fun p -> p <> "ack") serve_phases)
     in
     let ack_count, ack_mean = lookup sid "ack" in
     total_acks := !total_acks +. ack_count;
@@ -261,20 +240,15 @@ let check_breakdown ~version ix shards r =
   if !total_acks <= 0.0 then
     fail "serve.%s: breakdown has no samples — spans were not enabled" ix
 
-(* One parsed serve row: the fields the cross-mode gates compare. *)
-type serve_row = {
-  sr_shards : int;
-  sr_mode : string;  (* "per_op" | "group" | "epoch" *)
-  sr_clwb : float;
-  sr_sfence : float;
-  sr_kops : float;
-  sr_ack_p99 : float;
-}
-
-let check_serve ~version ~perf_gates doc =
-  match J.member "serve" doc with
-  | None -> ()
-  | Some (J.List rows) ->
+(* The serve table must sweep at least two shard counts with a per_op and
+   an epoch row for each, every row well-formed, and epoch batching must
+   not increase flushes per operation — and must strictly reduce fences
+   per operation — versus the per-op ablation on the same traffic.  These
+   are count ratios, not timings: the batching win is part of the schema,
+   not just a claim. *)
+let check_serve doc =
+  match get doc "serve" with
+  | J.List rows ->
       let parsed =
         List.map
           (fun r ->
@@ -284,17 +258,7 @@ let check_serve ~version ~perf_gates doc =
               | None -> fail "serve: row without an index name"
             in
             let cell k = num ("serve." ^ ix ^ "." ^ k) (get r k) in
-            let mode =
-              if version >= 3 then
-                match J.to_str (get r "persist_mode") with
-                | Some (("per_op" | "group" | "epoch") as m) -> m
-                | Some m -> fail "serve.%s: unknown persist_mode %S" ix m
-                | None -> fail "serve.%s: persist_mode missing" ix
-              else
-                match J.member "group_persist" r with
-                | Some (J.Bool b) -> if b then "group" else "per_op"
-                | _ -> fail "serve.%s: group_persist missing" ix
-            in
+            let mode = persist_mode ("serve." ^ ix) r in
             if cell "batch" < 1.0 then fail "serve.%s: batch < 1" ix;
             if cell "ops_acked" <= 0.0 then fail "serve.%s: no acked ops" ix;
             ignore (cell "seed");
@@ -305,20 +269,13 @@ let check_serve ~version ~perf_gates doc =
               fail "serve.%s: ack p50 > p99" ix;
             if cell "mean_batch_ops" < 1.0 then
               fail "serve.%s: batches below one op" ix;
-            if version >= 2 then
-              check_breakdown ~version ix (int_of_float (cell "shards")) r;
-            {
-              sr_shards = int_of_float (cell "shards");
-              sr_mode = mode;
-              sr_clwb = cell "clwb_per_op";
-              sr_sfence = cell "sfence_per_op";
-              sr_kops = kops;
-              sr_ack_p99 = cell "ack_p99_ns";
-            })
+            let shards = int_of_float (cell "shards") in
+            check_breakdown ix shards r;
+            (shards, mode, cell "clwb_per_op", cell "sfence_per_op"))
           rows
       in
       let shard_counts =
-        List.sort_uniq compare (List.map (fun r -> r.sr_shards) parsed)
+        List.sort_uniq compare (List.map (fun (sc, _, _, _) -> sc) parsed)
       in
       if List.length shard_counts < 2 then
         fail "serve: %d shard count(s) measured, need >= 2"
@@ -327,68 +284,33 @@ let check_serve ~version ~perf_gates doc =
         (fun sc ->
           let cell m =
             match
-              List.find_opt
-                (fun r -> r.sr_shards = sc && r.sr_mode = m)
-                parsed
+              List.find_opt (fun (s, mo, _, _) -> s = sc && mo = m) parsed
             with
-            | Some r -> r
+            | Some (_, _, clwb, sfence) -> (clwb, sfence)
             | None -> fail "serve: shard count %d missing %s row" sc m
           in
-          let group = cell "group" and per_op = cell "per_op" in
-          if group.sr_clwb > per_op.sr_clwb then
-            fail "serve: %d shards: batching RAISED clwb/op (%g > %g)" sc
-              group.sr_clwb per_op.sr_clwb;
-          if group.sr_sfence >= per_op.sr_sfence then
-            fail "serve: %d shards: batching did not reduce sfence/op (%g >= %g)"
-              sc group.sr_sfence per_op.sr_sfence;
-          if version >= 3 then begin
-            let epoch = cell "epoch" in
-            if epoch.sr_clwb > per_op.sr_clwb then
-              fail "serve: %d shards: epoch mode RAISED clwb/op (%g > %g)" sc
-                epoch.sr_clwb per_op.sr_clwb;
-            (* Batching-is-never-a-loss: these compare timing-dependent
-               numbers across cells, so freshly generated smoke reports may
-               waive them (--no-perf-gates); committed campaign reports are
-               validated with them on. *)
-            if perf_gates then begin
-              if epoch.sr_sfence > group.sr_sfence then
-                fail
-                  "serve: %d shards: epoch sfence/op %g above group mode's %g"
-                  sc epoch.sr_sfence group.sr_sfence;
-              (* 5% noise floor: with the simulator's near-free flushes the
-                 epoch win over per-op is small, and closed-loop throughput
-                 jitters a few percent run to run — the gate catches a real
-                 regression, not an unlucky draw. *)
-              if epoch.sr_kops < 0.95 *. per_op.sr_kops then
-                fail
-                  "serve: %d shards: epoch throughput %g kops below 0.95x \
-                   per-op's %g"
-                  sc epoch.sr_kops per_op.sr_kops;
-              if epoch.sr_ack_p99 > 2.0 *. per_op.sr_ack_p99 then
-                fail
-                  "serve: %d shards: epoch ack p99 %gns above 2x per-op's %gns"
-                  sc epoch.sr_ack_p99 per_op.sr_ack_p99
-            end
-          end)
+          let e_clwb, e_sfence = cell "epoch"
+          and p_clwb, p_sfence = cell "per_op" in
+          if e_clwb > p_clwb then
+            fail "serve: %d shards: epoch mode RAISED clwb/op (%g > %g)" sc
+              e_clwb p_clwb;
+          if e_sfence >= p_sfence then
+            fail "serve: %d shards: epoch mode did not reduce sfence/op (%g >= %g)"
+              sc e_sfence p_sfence)
         shard_counts
-  | Some _ -> fail "serve: not a list"
+  | _ -> fail "serve: not a list"
 
-(* The txn table arrived with schema recipe-bench/4 (multi-key
-   transactions with failure-atomic commit): all-transaction traffic over
-   the sharded router, swept over member counts per persist mode.
-   Required from /4; validated when present on older reports.  Every row
-   must be well-formed with acked transactions, and — the E25 claim —
-   fences per member operation must strictly fall from the smallest to
-   the largest member count within each mode: a transaction pays a
-   constant sfence overhead (WAL begin, data flush, commit flip) on top
-   of the per-member write-ahead undo append, so more members amortize
-   the constant part.  That is a count ratio, not a timing, so committed
-   reports and freshly generated smoke reports both gate it; only the
-   timing-free sanity checks apply when perf gates are waived. *)
-let check_txn ~version doc =
-  match J.member "txn" doc with
-  | None -> if version >= 4 then fail "txn: table missing (schema /4)"
-  | Some (J.List rows) ->
+(* The txn table: all-transaction traffic over the sharded router, swept
+   over member counts per persist mode.  Every row must be well-formed
+   with acked transactions, and — the E25 claim — fences per member
+   operation must strictly fall from the smallest to the largest member
+   count within each mode: a transaction pays a constant sfence overhead
+   (WAL begin, data flush, commit flip) on top of the per-member
+   write-ahead undo append, so more members amortize the constant part. *)
+let check_txn doc =
+  match get doc "txn" with
+  | J.List [] -> fail "txn: table empty"
+  | J.List rows ->
       let parsed =
         List.map
           (fun r ->
@@ -398,12 +320,7 @@ let check_txn ~version doc =
               | None -> fail "txn: row without an index name"
             in
             let cell k = num ("txn." ^ ix ^ "." ^ k) (get r k) in
-            let mode =
-              match J.to_str (get r "persist_mode") with
-              | Some (("per_op" | "group" | "epoch") as m) -> m
-              | Some m -> fail "txn.%s: unknown persist_mode %S" ix m
-              | None -> fail "txn.%s: persist_mode missing" ix
-            in
+            let mode = persist_mode ("txn." ^ ix) r in
             let txn_ops = int_of_float (cell "txn_ops") in
             if txn_ops < 1 then fail "txn.%s: txn_ops < 1" ix;
             if cell "txns_acked" <= 0.0 then
@@ -421,7 +338,6 @@ let check_txn ~version doc =
             (mode, txn_ops, cell "sfence_per_op"))
           rows
       in
-      if rows = [] then fail "txn: table empty";
       List.iter
         (fun m ->
           match
@@ -437,10 +353,12 @@ let check_txn ~version doc =
                   "txn: %s mode: sfence/op did not fall with members \
                    (%g at %d ops >= %g at %d ops)"
                   m hi_sf hi_ops lo_sf lo_ops)
-        [ "per_op"; "group"; "epoch" ]
-  | Some _ -> fail "txn: not a list"
+        [ "per_op"; "epoch" ]
+  | _ -> fail "txn: not a list"
 
-let run ~perf_gates file =
+let schema = "recipe-bench/5"
+
+let run file =
   let s = In_channel.with_open_text file In_channel.input_all in
   let doc =
     match J.parse s with
@@ -448,19 +366,14 @@ let run ~perf_gates file =
     | Error e -> fail "%s does not parse: %s" file e
   in
   ignore (get doc "meta");
-  let version =
-    match Option.bind (J.member "schema" doc) J.to_str with
-    | Some "recipe-bench/1" -> 1
-    | Some "recipe-bench/2" -> 2
-    | Some "recipe-bench/3" -> 3
-    | Some "recipe-bench/4" -> 4
-    | Some s -> fail "unknown schema %S" s
-    | None -> fail "schema missing"
-  in
+  (match Option.bind (J.member "schema" doc) J.to_str with
+  | Some s when s = schema -> ()
+  | Some s -> fail "unknown schema %S (expected %S)" s schema
+  | None -> fail "schema missing");
   check_micro_pmem doc;
   check_recovery doc;
-  check_serve ~version ~perf_gates doc;
-  check_txn ~version doc;
+  check_serve doc;
+  check_txn doc;
   let idxs =
     match J.to_list (get doc "indexes") with
     | Some l -> l
@@ -471,18 +384,15 @@ let run ~perf_gates file =
     (fun r ->
       if not (List.mem r names) then fail "required index %S missing" r)
     required_indexes;
-  Printf.printf "check_json: %s OK (%d indexes%s)\n" file (List.length names)
-    (if perf_gates then "" else ", perf gates waived")
+  Printf.printf "check_json: %s OK (%d indexes)\n" file (List.length names)
 
 let () =
-  let args = List.tl (Array.to_list Sys.argv) in
-  let perf_gates = not (List.mem "--no-perf-gates" args) in
-  match List.filter (fun a -> a <> "--no-perf-gates") args with
+  match List.tl (Array.to_list Sys.argv) with
   | [ file ] -> (
-      try run ~perf_gates file
+      try run file
       with Failure m ->
         prerr_endline ("check_json: " ^ m);
         exit 1)
   | _ ->
-      prerr_endline "usage: check_json [--no-perf-gates] FILE.json";
+      prerr_endline "usage: check_json FILE.json";
       exit 2

@@ -242,14 +242,14 @@ let recovery_json ~smoke () =
        subjects)
 
 (* Batched-durability table: the KV service layer (lib/kvserve) over the
-   standard grid — shard counts × {per_op, group, epoch} — driven with
+   standard grid — shard counts × {per_op, epoch} — driven with
    write-heavy overwrite traffic by the closed-loop load generator.  The
    rows come from {!Kvserve.Servebench.run_one}, the same measurement
-   bin/kv_bench.exe prints, so the committed report and the CLI always
-   agree; check_json.ml gates the cross-mode invariants (epoch batching is
-   never a loss) on committed reports.  Full-size campaigns ack >= 51.2k
-   ops per cell (4 workers x 800 requests x 16 ops) so p99s are
-   populations, not a couple of histogram samples. *)
+   bin/kv_bench.exe prints, so the report and the CLI always agree;
+   check_json.ml gates the cross-mode flush/fence counts (epoch batching
+   never raises clwb/op and strictly lowers sfence/op).  Full-size
+   campaigns ack >= 51.2k ops per cell (4 workers x 800 requests x 16 ops)
+   so p99s are populations, not a couple of histogram samples. *)
 let serve_json ~smoke () =
   Printf.printf "json: measuring serve...\n%!";
   let requests = if smoke then 50 else 800
@@ -262,11 +262,11 @@ let serve_json ~smoke () =
 
 (* Transaction-batch table (EXPERIMENTS.md E25): all-transaction traffic
    over the sharded router, one failure-atomic [Wire.Txn] batch per
-   request, swept over member counts in all three persist modes.  Each
+   request, swept over member counts in both persist modes.  Each
    transaction pays a constant sfence overhead (WAL begin, data flush,
    commit flip) on top of the per-member write-ahead undo append, so
    sfence per member op falls as members amortize the constant part;
-   check_json.ml gates that amortization on committed reports. *)
+   check_json.ml gates that amortization. *)
 let txn_json ~smoke () =
   Printf.printf "json: measuring txn...\n%!";
   let requests = if smoke then 40 else 400
@@ -282,13 +282,9 @@ let write cfg ~smoke file =
   let doc =
     J.Obj
       [
-        (* /3: serve rows carry persist_mode (per_op|group|epoch) and the
-           breakdown gains the epoch_wait phase; check_json gates the
-           epoch-never-a-loss invariants on committed reports.
-           /4: adds the [txn] table — multi-key transaction batches swept
-           over member counts; check_json gates the fence-amortization
-           invariant on committed reports. *)
-        ("schema", J.Str "recipe-bench/4");
+        (* /5: serve and txn rows sweep persist_mode per_op|epoch only;
+           bench/check_json.ml accepts this schema alone. *)
+        ("schema", J.Str "recipe-bench/5");
         ( "meta",
           J.Obj
             [

@@ -3,9 +3,9 @@
      dune exec bin/kv_bench.exe -- --index art --shards 2,4 --batch 32
 
    Runs the closed-loop load generator against the sharded KV service for
-   every requested shard count in all three persist modes — per_op (the
-   ablation), group (fence per batch), epoch (adaptive buffered
-   durability) — over write-heavy overwrite traffic, and prints the
+   every requested shard count in both persist modes — per_op (the
+   ablation) and epoch (adaptive buffered durability) — over write-heavy
+   overwrite traffic, and prints the
    batching table: throughput, p50/p99 ack latency, realized batch size,
    and flushes/fences per acknowledged operation.  A second grid sweeps
    multi-key transaction batches over [--txn-ops] member counts and
@@ -68,8 +68,8 @@ let main index shards_s batch workers requests opr write_pct key_space seed
       in
       print_endline "latency breakdown (us):";
       List.iter Kvserve.Servebench.print_breakdown rows;
-      (* Headline: fence amortization and the p99 cost of each batched mode
-         vs the per-op ablation, per shard count. *)
+      (* Headline: fence amortization and the p99 cost of epoch mode vs the
+         per-op ablation, per shard count. *)
       List.iter
         (fun shards ->
           let cell m =
@@ -79,17 +79,13 @@ let main index shards_s batch workers requests opr write_pct key_space seed
                 && Kvserve.Server.mode_name r.Kvserve.Servebench.r_mode = m)
               rows
           in
-          let per_op = cell "per_op"
-          and group = cell "group"
-          and epoch = cell "epoch" in
+          let per_op = cell "per_op" and epoch = cell "epoch" in
           let p99 r = float_of_int r.Kvserve.Servebench.r_ack_p99_ns /. 1e3 in
           Printf.printf
-            "%d shard(s): sfence/op per_op %.2f, group %.2f, epoch %.2f; \
-             ack p99 (us) per_op %.1f, group %.1f, epoch %.1f\n"
+            "%d shard(s): sfence/op per_op %.2f, epoch %.2f; ack p99 (us) \
+             per_op %.1f, epoch %.1f\n"
             shards per_op.Kvserve.Servebench.r_fences_per_op
-            group.Kvserve.Servebench.r_fences_per_op
-            epoch.Kvserve.Servebench.r_fences_per_op (p99 per_op) (p99 group)
-            (p99 epoch))
+            epoch.Kvserve.Servebench.r_fences_per_op (p99 per_op) (p99 epoch))
         shard_counts;
       (* Transaction-batch grid (EXPERIMENTS.md E25): all-txn traffic, one
          [Wire.Txn] batch per request, swept over member counts.  Uses the
@@ -118,8 +114,8 @@ let main index shards_s batch workers requests opr write_pct key_space seed
           let doc =
             J.Obj
               [
-                (* /4: adds the [txn] grid (transaction batches, E25). *)
-                ("schema", J.Str "recipe-serve-bench/4");
+                (* /5: per_op and epoch rows only. *)
+                ("schema", J.Str "recipe-serve-bench/5");
                 ( "meta",
                   J.Obj
                     [
@@ -199,7 +195,7 @@ let cmd =
   in
   Cmd.v
     (Cmd.info "kv_bench"
-       ~doc:"Benchmark per-op/group/epoch durability in the KV service layer")
+       ~doc:"Benchmark per-op vs epoch durability in the KV service layer")
     Term.(
       const main $ index $ shards $ batch $ workers $ requests $ opr
       $ write_pct $ key_space $ seed $ txn_ops $ json $ trace_out)

@@ -5,7 +5,7 @@
    Speaks the framed binary codec of {!Kvserve.Wire}: clients write
    length-prefixed request frames and read response frames; each accepted
    connection gets one systhread feeding {!Kvserve.Server.Conn}, and all
-   connections share the sharded group-persist router.  A malformed frame
+   connections share the sharded epoch-persist router.  A malformed frame
    earns one [Bad_request] response after which the connection is closed
    (the stream cannot be resynchronized).
 
@@ -168,7 +168,6 @@ let main index shards batch queue_cap mode_sel host port max_conns smoke
       let mode =
         match mode_sel with
         | `Per_op -> Server.Per_op
-        | `Group -> Server.Group
         | `Epoch -> Server.Epoch Kvserve.Epoch_ctl.default_cfg
       in
       let cfg =
@@ -225,13 +224,13 @@ let cmd =
     Arg.(
       value
       & opt
-          (enum [ ("per_op", `Per_op); ("group", `Group); ("epoch", `Epoch) ])
+          (enum [ ("per_op", `Per_op); ("epoch", `Epoch) ])
           `Epoch
       & info [ "persist-mode" ] ~docv:"MODE"
           ~doc:
             "Durability mode: $(b,per_op) flushes+fences each operation, \
-             $(b,group) fences once per dequeued batch, $(b,epoch) (default) \
-             runs fence-free applies with adaptive epoch advances.")
+             $(b,epoch) (default) runs fence-free applies with adaptive \
+             epoch advances.")
   in
   let host = Arg.(value & opt string "127.0.0.1" & info [ "host" ]) in
   let port = Arg.(value & opt int 7700 & info [ "port" ] ~docv:"PORT") in

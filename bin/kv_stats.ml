@@ -61,11 +61,7 @@ let per_op fields k =
   let ops = max 1 (fv fields "ops_acked") in
   float_of_int (fv fields k) /. float_of_int ops
 
-let mode_label = function
-  | 0 -> "per_op"
-  | 1 -> "group"
-  | 2 -> "epoch"
-  | _ -> "?"
+let mode_label = function 0 -> "per_op" | 2 -> "epoch" | _ -> "?"
 
 let render fields =
   let f = fv fields in

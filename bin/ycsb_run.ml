@@ -30,8 +30,8 @@ let build_driver p name kind =
 
 (* [--shards N]: route every operation through the sharded KV service
    instead of calling the index directly — each YCSB thread becomes a
-   closed-loop client of the group-persist router, so concurrent clients'
-   writes coalesce into shared batch fences.  Returns the server so the
+   closed-loop client of the epoch-persist router, so concurrent clients'
+   writes coalesce into shared epoch fences.  Returns the server so the
    caller can stop it after the measurement. *)
 let kvparts_name name =
   match String.lowercase_ascii name with
@@ -52,7 +52,9 @@ let build_served_driver p name ~shards ~batch =
           Kvserve.Server.shards;
           batch;
           queue_cap = max 256 batch;
-          mode = (if batch > 1 then Kvserve.Server.Group else Kvserve.Server.Per_op);
+          mode =
+            (if batch > 1 then Kvserve.Server.default_config.mode
+             else Kvserve.Server.Per_op);
         }
       in
       let srv = Kvserve.Server.start cfg parts in
@@ -174,8 +176,8 @@ let cmd =
       value & opt int 32
       & info [ "batch" ] ~docv:"N"
           ~doc:
-            "Group-persist batch size for --shards mode (1: per-op \
-             flush+fence).")
+            "Batch size for --shards mode, served in the default epoch mode \
+             (1: per-op flush+fence).")
   in
   let sanitize =
     Arg.(

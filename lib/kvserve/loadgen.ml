@@ -5,7 +5,7 @@
    harness also follows) and submits batched requests through the
    in-process transport, blocking for each acknowledgement before sending
    the next request: closed-loop, so measured ack latency includes queueing
-   behind other clients and the group-persist fence.
+   behind other clients and the epoch fence.
 
    Two key regimes:
 
@@ -14,7 +14,7 @@
      are returned for post-crash verification.
    - [Overwrite n]: puts upsert over a small space of [n] keys — the
      batching benchmark's write-heavy regime, where a batch's commits land
-     on few distinct cache lines and group flushing coalesces them.
+     on few distinct cache lines and the epoch flush coalesces them.
 
    On [Overloaded] the worker backs off and retries the same request —
    safe, since a rejected request was not applied at all.  On [Shutdown]

@@ -3,12 +3,11 @@
    configurations, reporting throughput, ack-latency percentiles, realized
    batch size, and flushes/fences per acknowledged operation.
 
-   The three-mode comparison is the experiment's point: group mode should
-   show clwb/op and sfence/op well below the per-op ablation (commit
-   coalescing), and epoch mode must keep that fence amortization *without*
-   group mode's ack p99 inflation — the adaptive controller closes epochs
-   as soon as the queue runs dry, so batching is never a loss (checked by
-   bench/check_json on committed reports).
+   The mode comparison is the experiment's point: epoch mode should show
+   clwb/op no higher and sfence/op well below the per-op ablation (commit
+   coalescing) — checked by bench/check_json — and the adaptive controller
+   closes epochs as soon as the queue runs dry, so the amortization costs
+   no ack p99 at low load.
 
    Each cell runs a short deterministic warmup (same traffic shape,
    distinct seed) that is excluded from the histograms and the
@@ -156,8 +155,7 @@ let run_one ~(make : unit -> Server.partition) ~shards ~batch
 
 (* The standard grid: every shard count × persist mode, identical traffic
    (same seed) in each cell. *)
-let default_modes =
-  [ Server.Per_op; Server.Group; Server.Epoch Epoch_ctl.default_cfg ]
+let default_modes = [ Server.Per_op; Server.Epoch Epoch_ctl.default_cfg ]
 
 let run_grid ~make ~shard_counts ~batch ?(modes = default_modes) ?workers
     ?requests ?ops_per_request ?warmup_requests ?write_pct ?key_space ?seed

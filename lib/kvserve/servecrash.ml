@@ -4,7 +4,7 @@
    Per state:
 
    1. preload [load] keys *through the server* (submit blocks until the
-      batch fence, so every reply is an acknowledgement);
+      epoch fence, so every reply is an acknowledgement);
    2. arm a seed-deterministic fault plan and run closed-loop client
       traffic; some shard worker crashes mid-batch, the server declares
       itself dead, in-flight and queued requests fail with [Shutdown]
@@ -13,10 +13,10 @@
       [`Mid_epoch] crashes at a random persistent *store* — in epoch mode
       that is inside the fence-free apply window, with applied-but-unacked
       ops parked in the open epoch; [`Boundary] crashes at a random flush
-      or fence — in epoch/group mode commit flushes only run inside
-      {!Recipe.Persist.epoch_advance}/[group_flush], so the crash lands at
-      the durability boundary itself (eager ordering flushes can also
-      catch it mid-apply, which only widens coverage);
+      or fence — in epoch mode commit flushes only run inside
+      {!Recipe.Persist.epoch_advance}, so the crash lands at the
+      durability boundary itself (eager ordering flushes can also catch
+      it mid-apply, which only widens coverage);
    3. power-fail (every unflushed line discarded — including the crashed
       batch's deferred commit lines), run each partition's timed recovery
       and reclaiming leak sweep;
@@ -25,8 +25,8 @@
       served gets, plus a served scan's global order (ordered partitions).
 
    Zero lost acknowledged operations ([base.lost_keys = 0]) is the
-   acceptance invariant: an acked put was fenced (group or epoch) before
-   its reply was sent, so it must survive the crash — a mid-epoch fault
+   acceptance invariant: an acked put was fenced (inline or by its epoch)
+   before its reply was sent, so it must survive the crash — a mid-epoch fault
    may lose unacked ops of the open epoch, never an acked one. *)
 
 let fresh_env () =
@@ -84,6 +84,34 @@ let traffic_cfg ?(txn_pct = 0) ?(txn_ops = 6) ~workers ~ops ~load ~key_base
     txn_ops;
     seed;
   }
+
+(* Stats-endpoint consistency after a restart, with every submit returned:
+   counter [key] covers at least [floor] (the counter add happens-before
+   the ack, see [Server.worker]), the server is healthy, every queue is
+   empty and no ack is still parked, and — since every mode parks acks in
+   epochs — at least one epoch advanced (the counters are process-global,
+   so >= 1 holds across restarts too).  Returns the number of violations:
+   each is a serving-path malfunction, reported as [stalled]. *)
+let stats_violations srv ~shards ~key ~floor =
+  match Server.submit srv { Wire.rid = 0; ops = [ Wire.Stats ] } with
+  | { Wire.status = Wire.Ok; replies = [ Wire.Stats_reply fields ]; _ } ->
+      let bad = ref 0 in
+      let fv k =
+        match List.assoc_opt k fields with
+        | Some v -> v
+        | None ->
+            incr bad;
+            -1
+      in
+      if fv key < floor then incr bad;
+      if fv "crashed" <> 0 then incr bad;
+      if fv "epochs" < 1 then incr bad;
+      for sid = 0 to shards - 1 do
+        if fv (Printf.sprintf "shard.%d.queue_depth" sid) <> 0 then incr bad;
+        if fv (Printf.sprintf "shard.%d.pending_acks" sid) <> 0 then incr bad
+      done;
+      !bad
+  | _ -> 1
 
 let campaign ~make ~(cfg : Server.config) ?(plan = `Random) ~states ~load ~ops
     ~workers ~seed () : Crashtest.load_report =
@@ -241,43 +269,12 @@ let campaign ~make ~(cfg : Server.config) ?(plan = `Random) ~states ~load ~ops
             end
         | _ -> incr stalled)
     | _ -> ());
-    (* Stats-endpoint consistency across recovery: queried after every ack
-       above, the snapshot must never undercount acked ops (the counter add
-       happens-before the ack, see [Server.worker]), must see the restarted
-       server healthy, and — with all submits returned — empty queues.  A
-       violation is a serving-path malfunction, reported as [stalled]. *)
-    (match Server.submit srv2 { Wire.rid = 0; ops = [ Wire.Stats ] } with
-    | {
-        Wire.status = Wire.Ok;
-        replies = [ Wire.Stats_reply fields ];
-        _;
-      } ->
-        let fv k =
-          match List.assoc_opt k fields with
-          | Some v -> v
-          | None ->
-              incr stalled;
-              -1
-        in
-        if fv "ops_acked" < !acked_total then incr stalled;
-        if fv "crashed" <> 0 then incr stalled;
-        for sid = 0 to cfg.shards - 1 do
-          if fv (Printf.sprintf "shard.%d.queue_depth" sid) <> 0 then
-            incr stalled
-        done;
-        (* Epoch mode: every submit above has returned, so no ack may
-           still be parked, and traffic must have advanced at least one
-           epoch (the counters are process-global, so >= 1 holds across
-           restarts too). *)
-        (match cfg.mode with
-        | Server.Epoch _ ->
-            if fv "epochs" < 1 then incr stalled;
-            for sid = 0 to cfg.shards - 1 do
-              if fv (Printf.sprintf "shard.%d.pending_acks" sid) <> 0 then
-                incr stalled
-            done
-        | _ -> ())
-    | _ -> incr stalled);
+    (* Queried after every ack above: the snapshot must never undercount
+       acked ops. *)
+    stalled :=
+      !stalled
+      + stats_violations srv2 ~shards:cfg.shards ~key:"ops_acked"
+          ~floor:!acked_total;
     Server.stop srv2
   done;
   Pmem.Mode.set_shadow false;
@@ -487,14 +484,11 @@ let txn_campaign ~make ~(cfg : Server.config) ?(plan = `Random)
           if !applied > 0 && !missing > 0 then incr partial
         end)
       batches;
-    (* Stats endpoint: the committed-transaction counter is monotone and
-       process-global; it must cover at least this campaign's acks. *)
-    (match Server.submit srv2 { Wire.rid = 0; ops = [ Wire.Stats ] } with
-    | { Wire.status = Wire.Ok; replies = [ Wire.Stats_reply fields ]; _ } ->
-        (match List.assoc_opt "txns" fields with
-        | Some n -> if n < !tx_acked then incr stalled
-        | None -> incr stalled)
-    | _ -> incr stalled);
+    (* The committed-transaction counter is monotone and process-global;
+       it must cover at least this campaign's acks. *)
+    stalled :=
+      !stalled
+      + stats_violations srv2 ~shards:cfg.shards ~key:"txns" ~floor:!tx_acked;
     Server.stop srv2
   done;
   Pmem.Mode.set_shadow false;

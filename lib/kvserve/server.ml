@@ -1,22 +1,23 @@
-(* Sharded request router with batched durability (group or epoch mode).
+(* Sharded request router with epoch-batched durability.
 
    Keys are hash-partitioned across [shards] partitions, each owned by one
    worker domain draining a bounded MPSC queue.  A worker dequeues up to
-   [batch] operations and applies them against its partition; durability
-   then depends on the configured {!persist_mode}:
+   [batch] operations, applies them against its partition, and *parks*
+   their acks in its open epoch; an {!Epoch_ctl} controller decides when to
+   {!Recipe.Persist.epoch_advance}, after which every parked ack releases
+   (DESIGN.md §12).  The configured {!persist_mode} only picks the
+   controller and whether commits defer their fence:
 
-   - [Per_op]: every commit flushes and fences inline (the ablation);
-   - [Group]: one {!Recipe.Persist.group_flush} per dequeued batch (every
-     deferred commit line flushed once, one fence) before any of the
-     batch's clients is acknowledged — DESIGN.md §10;
-   - [Epoch _]: buffered durable linearizability (DESIGN.md §12).  Applies
-     are fence-free; applied-but-unacked operations are *parked* tagged
-     with the worker's open epoch, and an adaptive {!Epoch_ctl} decides
-     when to {!Recipe.Persist.epoch_advance} (each dirty line flushed
-     once + one fence), after which every parked ack releases.  The
-     controller closes an epoch the moment the queue is empty, so at low
-     load the mode degenerates to per-op persistence; under load epochs
-     grow to a cap, preserving fence amortization.
+   - [Epoch _]: buffered durable linearizability.  Applies are fence-free
+     (commit lines deferred), and the advance flushes each dirty line once
+     + one fence.  The controller closes an epoch the moment the queue is
+     empty, so at low load the mode degenerates to per-op persistence;
+     under load epochs grow to a cap, preserving fence amortization.
+     [{ max_ops = 1 }] closes after every dequeued batch — one fence per
+     batch, the classic group commit (DESIGN.md §10);
+   - [Per_op]: the ablation.  Every commit flushes and fences inline and
+     the controller closes after every batch, so the advance has nothing
+     left to flush.
 
    In every mode an acknowledged write is durable; an unacknowledged write
    may be lost wholesale by a crash, which is the group-commit contract.
@@ -50,15 +51,11 @@ type partition = {
 (** How applied operations become durable (and thus ackable). *)
 type persist_mode =
   | Per_op  (** every commit flushes + fences inline (the ablation) *)
-  | Group  (** one flush+fence per dequeued batch, ack after *)
   | Epoch of Epoch_ctl.cfg
       (** fence-free applies; acks parked until the adaptive controller
           advances the epoch (flush deferred lines + one fence) *)
 
-let mode_name = function
-  | Per_op -> "per_op"
-  | Group -> "group"
-  | Epoch _ -> "epoch"
+let mode_name = function Per_op -> "per_op" | Epoch _ -> "epoch"
 
 type config = {
   shards : int;
@@ -299,20 +296,23 @@ let kill t =
     t.shards_
 
 let worker t sh =
-  (* Group/epoch deferral is domain-local: each worker opts in for itself,
-     so other servers' workers (any mode) are unaffected, and the flag dies
-     with the domain. *)
-  (match t.cfg.mode with
-  | Per_op -> ()
-  | Group | Epoch _ -> Recipe.Persist.set_group true);
+  (* Commit deferral is domain-local: each epoch-mode worker opts in for
+     itself, so other servers' workers (any mode) are unaffected, and the
+     flag dies with the domain.  Per-op mode leaves it off and closes an
+     epoch after every batch: its acks take the same park -> advance ->
+     release path, and the advance finds nothing left to flush. *)
   let ctl =
-    match t.cfg.mode with Epoch c -> Some (Epoch_ctl.create c) | _ -> None
+    match t.cfg.mode with
+    | Per_op -> Epoch_ctl.create { Epoch_ctl.default_cfg with max_ops = 1 }
+    | Epoch c ->
+        Recipe.Persist.set_group true;
+        Epoch_ctl.create c
   in
   let batch_buf = Array.make t.cfg.batch None in
   let replies = Array.make t.cfg.batch Wire.Absent in
-  (* Epoch mode: applied-but-unacked (item, reply) pairs parked until their
-     epoch's fence, newest first; [sh.pending_acks] mirrors the length for
-     the stats endpoint. *)
+  (* Applied-but-unacked (item, reply) pairs parked until their epoch's
+     fence, newest first; [sh.pending_acks] mirrors the length for the
+     stats endpoint. *)
   let parked = ref [] in
   let parked_n = ref 0 in
   (* Crash path: parked ops were applied but never fenced — they are
@@ -328,12 +328,13 @@ let worker t sh =
     end
   in
   (* Close the open epoch: flush each deferred line once, one fence, then
-     release every parked ack.  The count add happens *before* the
-     contributes so a stats snapshot taken after an ack never undercounts
-     acked ops (same ordering promise as the batch path).  Self-contained
-     against injected crashes — it is called outside the batch exception
-     guard (advance-before-wait, stop drain), and a crash escaping the
-     worker would strand submitters. *)
+     release every parked ack — the only place a single op is acked.  The
+     count add happens *before* the contributes: the contribute releases
+     the submitter, and the stats endpoint promises that a snapshot taken
+     after an ack never undercounts acked ops (the add happens-before the
+     submitter's wake via [pmu]).  Self-contained against injected crashes
+     — it is called outside the batch exception guard, and a crash
+     escaping the worker would strand submitters. *)
   let release_parked () =
     if !parked_n > 0 then begin
       let ps = List.rev !parked in
@@ -365,7 +366,7 @@ let worker t sh =
                ps);
           Obs.Hist.observe sh.m_eops n;
           Obs.Counter.add t.c_ops n;
-          (match ctl with Some c -> Epoch_ctl.advanced c | None -> ());
+          Epoch_ctl.advanced ctl;
           List.iter (fun (it, r) -> contribute it sh.sid r) ps
       | exception e ->
           (* Injected crash at the epoch fence: the whole open epoch is
@@ -392,11 +393,9 @@ let worker t sh =
      deferral for just this transaction, so member commits stay unflushed
      until the WAL says they may persist. *)
   let exec_txn it tp_ops tp_acc tp_tid tp_coord tp_lead =
-    let temp_group =
-      match t.cfg.mode with Per_op -> true | Group | Epoch _ -> false
-    in
-    if temp_group then Recipe.Persist.set_group true;
-    let finish_mode () = if temp_group then Recipe.Persist.set_group false in
+    let temp_defer = t.cfg.mode = Per_op in
+    if temp_defer then Recipe.Persist.set_group true;
+    let finish_mode () = if temp_defer then Recipe.Persist.set_group false in
     let wal = Recipe.Txn.domain_wal () in
     (* Open the record before the first member store: every captured line
        write-ahead-logs through [Txn.append] before its store executes, so
@@ -447,7 +446,7 @@ let worker t sh =
     | () -> (
         (* Step 3, the data flush: every line the members dirtied (their
            deferred commit lines) flushed once, one fence. *)
-        Obs.Counter.add t.c_group_lines (Recipe.Persist.group_flush ());
+        Obs.Counter.add t.c_group_lines (snd (Recipe.Persist.epoch_advance ()));
         match tp_coord with
         | None ->
             Recipe.Txn.flip_commit wal;
@@ -580,94 +579,48 @@ let worker t sh =
       match
         for i = 0 to n - 1 do
           match batch_buf.(i) with
-          | Some it ->
-              (match it.pl with
-              | Single op -> replies.(i) <- apply sh.part op
-              | Txn_part _ ->
-                  (* batch formation runs txn parts alone *)
-                  assert false);
-              (match it.sp with
+          | Some ({ pl = Single op; _ } as it) -> (
+              replies.(i) <- apply sh.part op;
+              match it.sp with
               | Some sp -> sp.Obs.Span.t_applied <- Obs.Span.now ()
               | None -> ())
-          | None -> assert false
-        done;
-        (match t.cfg.mode with
-        | Per_op | Group ->
-            (* The batch fence: in group mode the group flush + sfence
-               makes every operation above durable; in per-op mode each
-               apply already fenced itself.  [t_epoch] closes the
-               batch-tail wait (epoch_wait phase) so the fence phase is
-               the pure flush+fence cost.  The flush stays inside this
-               guarded expression: an injected crash during it must take
-               the exception path below, not escape the worker. *)
-            (if Obs.Span.enabled () then
-               let ts = Obs.Span.now () in
-               for i = 0 to n - 1 do
-                 match batch_buf.(i) with
-                 | Some { sp = Some sp; _ } -> sp.Obs.Span.t_epoch <- ts
-                 | _ -> ()
-               done);
-            if t.cfg.mode = Group then
-              Obs.Counter.add t.c_group_lines (Recipe.Persist.group_flush ())
-        | Epoch _ -> ())
+          | Some { pl = Txn_part _; _ } | None ->
+              (* batch formation runs txn parts alone *)
+              assert false
+        done
       with
-      | () -> (
-          match t.cfg.mode with
-          | Per_op | Group ->
-              (if Obs.Span.enabled () then
-                 let ts = Obs.Span.now () in
-                 for i = 0 to n - 1 do
-                   match batch_buf.(i) with
-                   | Some { sp = Some sp; _ } -> sp.Obs.Span.t_fenced <- ts
-                   | _ -> ()
-                 done);
-              (* Count the batch *before* contributing: the contribute below
-                 releases the submitter, and the stats endpoint promises that
-                 a snapshot taken after an ack never undercounts acked ops.
-                 The counter add happens-before the submitter's wake via
-                 [pmu]. *)
-              Obs.Counter.add t.c_ops n;
-              Obs.Counter.incr t.c_batches;
-              for i = 0 to n - 1 do
-                match batch_buf.(i) with
-                | Some it ->
-                    contribute it sh.sid replies.(i);
-                    batch_buf.(i) <- None
-                | None -> ()
-              done
-          | Epoch _ ->
-              (* Fence-free: park the batch in the open epoch and ask the
-                 controller whether to close it now.  Acks release only at
-                 the epoch fence (possibly several batches later). *)
-              Obs.Counter.incr t.c_batches;
-              for i = 0 to n - 1 do
-                match batch_buf.(i) with
-                | Some it ->
-                    parked := (it, replies.(i)) :: !parked;
-                    batch_buf.(i) <- None
-                | None -> ()
-              done;
-              parked_n := !parked_n + n;
-              sh.pending_acks <- !parked_n;
-              let now = Obs.Span.now () in
-              let c = match ctl with Some c -> c | None -> assert false in
-              Epoch_ctl.note c ~now n;
-              (* Re-sample the queue depth *after* the apply, not at pop
-                 time: ops that arrived while this batch applied should
-                 join the open epoch rather than trigger a premature
-                 advance — the empty-queue rule means "the shard is going
-                 idle", and a pop-time snapshot can't see that. *)
-              let depth_now =
-                Mutex.lock sh.smu;
-                let d = sh.len in
-                Mutex.unlock sh.smu;
-                d
-              in
-              if
-                Epoch_ctl.decide c ~now
-                  ~pending_lines:(Recipe.Persist.group_pending ())
-                  ~queue_depth:depth_now
-              then release_parked ())
+      | () ->
+          (* Park the batch in the open epoch and ask the controller whether
+             to close it now.  Acks release only at the epoch fence
+             (possibly several batches later). *)
+          Obs.Counter.incr t.c_batches;
+          for i = 0 to n - 1 do
+            match batch_buf.(i) with
+            | Some it ->
+                parked := (it, replies.(i)) :: !parked;
+                batch_buf.(i) <- None
+            | None -> ()
+          done;
+          parked_n := !parked_n + n;
+          sh.pending_acks <- !parked_n;
+          let now = Obs.Span.now () in
+          Epoch_ctl.note ctl ~now n;
+          (* Re-sample the queue depth *after* the apply, not at pop time:
+             ops that arrived while this batch applied should join the open
+             epoch rather than trigger a premature advance — the empty-queue
+             rule means "the shard is going idle", and a pop-time snapshot
+             can't see that. *)
+          let depth_now =
+            Mutex.lock sh.smu;
+            let d = sh.len in
+            Mutex.unlock sh.smu;
+            d
+          in
+          if
+            Epoch_ctl.decide ctl ~now
+              ~pending_lines:(Recipe.Persist.group_pending ())
+              ~queue_depth:depth_now
+          then release_parked ()
       | exception e ->
           (* Injected crash (or any fault) mid-batch: the batch is abandoned
              wholesale.  Deferred commit lines are dropped un-flushed — the
@@ -703,7 +656,7 @@ let worker t sh =
 let start cfg parts =
   if cfg.shards <= 0 then invalid_arg "Server.start: shards must be positive";
   if cfg.batch <= 0 then invalid_arg "Server.start: batch must be positive";
-  (match cfg.mode with Epoch c -> Epoch_ctl.validate c | _ -> ());
+  (match cfg.mode with Epoch c -> Epoch_ctl.validate c | Per_op -> ());
   if cfg.queue_cap < cfg.batch then
     invalid_arg "Server.start: queue_cap must be >= batch";
   if Array.length parts <> cfg.shards then
@@ -756,8 +709,8 @@ let start cfg parts =
   t
 
 (* Stop serving: drain queued work (unless crashed, in which case workers
-   fail-drain), join every worker.  Group mode needs no teardown — it is
-   domain-local to the workers and dies with them.  After [stop] no batch
+   fail-drain), join every worker.  Commit deferral needs no teardown — it
+   is domain-local to the workers and dies with them.  After [stop] no batch
    is mid-flight, so a campaign may power-fail / recover the partitions. *)
 let stop t =
   Array.iter
@@ -798,17 +751,14 @@ let stats_snapshot t =
   add "shards" t.cfg.shards;
   add "batch" t.cfg.batch;
   add "queue_cap" t.cfg.queue_cap;
-  (* [group_persist] keeps its pre-epoch meaning (per-batch group mode) for
-     old readers; [persist_mode] is the full story. *)
-  add "group_persist" (match t.cfg.mode with Group -> 1 | _ -> 0);
-  add "persist_mode"
-    (match t.cfg.mode with Per_op -> 0 | Group -> 1 | Epoch _ -> 2);
+  (* Wire codes are stable for clients: 0 per_op, 2 epoch. *)
   (match t.cfg.mode with
+  | Per_op -> add "persist_mode" 0
   | Epoch c ->
+      add "persist_mode" 2;
       add "epoch.max_ops" c.Epoch_ctl.max_ops;
       add "epoch.max_lines" c.Epoch_ctl.max_lines;
-      add "epoch.max_delay_ns" c.Epoch_ctl.max_delay_ns
-  | _ -> ());
+      add "epoch.max_delay_ns" c.Epoch_ctl.max_delay_ns);
   add "crashed" (if Atomic.get t.crashed then 1 else 0);
   add "spans_enabled" (if Obs.Span.enabled () then 1 else 0);
   add "ops_acked" (Obs.Counter.value t.c_ops);

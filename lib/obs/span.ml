@@ -15,10 +15,11 @@
      fence      = fenced  - epoch    (deferred line flushes + one sfence)
      ack        = ack     - submit   (client-observed; >= sum of the above)
 
-   Per-op and per-batch group modes stamp [t_epoch] immediately before the
-   flush work, so for them epoch_wait is the old batch-tail wait and fence
-   is the pure flush+fence cost; epoch mode additionally accrues the
-   controller's deliberate deferral into epoch_wait.
+   Every single op is stamped [t_epoch] when its epoch closes, immediately
+   before the flush work, so fence is the pure flush+fence cost.  Per-op
+   mode closes an epoch after every batch, so its epoch_wait is the
+   batch-tail wait; epoch mode additionally accrues the controller's
+   deliberate deferral into epoch_wait.
 
    Off-path discipline mirrors the PSan guard: when disabled, the serving
    hot path pays one ref read per request and allocates nothing (items

@@ -67,7 +67,7 @@ let length t = t.len
 
 (** Process-global line number of the line containing word [i] — the same
     identifier space as {!Line_id}, {!Llc} and the fault/sanitizer hooks.
-    Lets callers that defer flushes (the group-persist batch executor)
+    Lets callers that defer flushes (the epoch executor)
     deduplicate per cache line across objects. *)
 let global_line t i = t.base_line + line_of_index i
 

@@ -25,20 +25,25 @@ let naive = ref false
     bench); [false] restores coalesced flushing. *)
 let[@pm.volatile] set_naive b = naive := b
 
-(* --- group-commit deferral (the kvserve batch executor's mode) -----------
+(* --- commit deferral and epochs (buffered durable linearizability) --------
 
    Per-operation persistence pays one commit flush + one fence per write.
-   The service layer's group-persist executor amortizes that cost: while
-   the calling domain has group mode on, the commit combinators perform
-   their store (the operation becomes *visible* immediately, exactly as
-   before) but defer the trailing clwb + sfence, recording the commit's
-   cache line in the domain's table; {!group_flush} then flushes every
-   recorded line once — deduplicated per line, which is where the
-   flushes/op saving comes from — and issues a single fence for the whole
-   batch.  The executor acknowledges its clients only after that fence, so
-   an acknowledged operation is durable, same as per-op mode; an
-   unacknowledged one may be lost wholesale by a crash, which is the
-   standard group-commit contract.
+   The service layer's epoch executor amortizes that cost: while the
+   calling domain has deferral on, the commit combinators perform their
+   store (the operation becomes *visible* immediately, exactly as before)
+   but defer the trailing clwb + sfence, recording the commit's cache line
+   in the domain's table.  The domain counts *epochs* — a monotonically
+   increasing number naming "everything deferred since the last fence" —
+   and {!epoch_advance} is the only place the deferred fence happens: it
+   flushes every recorded line once (deduplicated per line, which is where
+   the flushes/op saving comes from), issues one fence, marks the open
+   epoch persisted and opens the next.  An executor that acks only
+   operations whose epoch is persisted provides buffered durable
+   linearizability in the sense of Ben-David et al. (Delay-Free Concurrency
+   on Faulty Persistent Memory): the critical path runs fence-free,
+   durability advances at epoch boundaries, and a crash loses at most the
+   *unacked* suffix — the open epoch — never an acked operation.  DESIGN.md
+   §12 gives the full argument.
 
    Ordering safety: only the *commit* flush+fence is deferred.  Explicit
    ordering flushes ([flush], [persist_new_*]) — the "previous state is
@@ -47,39 +52,24 @@ let[@pm.volatile] set_naive b = naive := b
    word itself is flushed.  A crash therefore loses some suffix-subset of
    the deferred single-word commits, each of which is individually a legal
    pre/post state — the same states per-operation crash testing already
-   explores — plus unreachable (leak-swept) garbage.  DESIGN.md §10 gives
-   the full argument.
+   explores — plus unreachable (leak-swept) garbage.
 
-   Both the mode flag and the deferral table are domain-local (DLS): a
-   shard worker defers only its own commits and flushes only its own lines,
-   so concurrently running servers — group or per-op — cannot observe or
-   disturb each other's pending lines.  In particular, starting or stopping
-   one server never drops another server's deferred commits (which would
-   let its workers ack writes whose commit lines were never flushed).  No
-   locking is needed: a domain's table is touched by that domain alone.
-
-   --- epochs (buffered durable linearizability) ---------------------------
-
-   The epoch generalization (DESIGN.md §12) keeps the same deferral table
-   but decouples the fence from the batch: the domain counts *epochs* — a
-   monotonically increasing number naming "everything deferred since the
-   last fence" — and {!epoch_advance} is the only place the fence happens:
-   it flushes each dirty line once, issues one fence, marks the open epoch
-   persisted and opens the next.  An executor that acks only operations
-   whose epoch is persisted provides buffered durable linearizability in
-   the sense of Ben-David et al. (Delay-Free Concurrency on Faulty
-   Persistent Memory): the critical path runs fence-free, durability
-   advances at epoch boundaries, and a crash loses at most the *unacked*
-   suffix — the open epoch — never an acked operation.
+   Both the deferral flag and the table are domain-local (DLS): a shard
+   worker defers only its own commits and flushes only its own lines, so
+   concurrently running servers cannot observe or disturb each other's
+   pending lines.  In particular, starting or stopping one server never
+   drops another server's deferred commits (which would let its workers ack
+   writes whose commit lines were never flushed).  No locking is needed: a
+   domain's table is touched by that domain alone.
 
    Under sanitize mode the commit combinators no longer skip their
    publication check while deferral is on — they *defer* it: the check runs
-   at the epoch fence ({!group_flush}/{!epoch_advance}), after the sfence,
-   which is exactly when the buffered contract first allows the commit to
-   be acknowledged.  A store the operation relied on that never got flushed
-   (neither eagerly nor by the epoch flush) is reported there as an
-   unpersisted publish, so moving the fence cannot silently weaken RECIPE
-   Condition #1/#2 — the sanitizer follows the fence. *)
+   at the epoch fence ({!epoch_advance}), after the sfence, which is exactly
+   when the buffered contract first allows the commit to be acknowledged.
+   A store the operation relied on that never got flushed (neither eagerly
+   nor by the epoch flush) is reported there as an unpersisted publish, so
+   moving the fence cannot silently weaken RECIPE Condition #1/#2 — the
+   sanitizer follows the fence. *)
 
 (* --- transaction undo capture (DESIGN.md §14) ----------------------------
 
@@ -210,31 +200,27 @@ let[@pm.volatile] [@pm.deferred] txn_capture_refs st r i =
     match st.txn_log with Some log -> log u | None -> ()
   end
 
-(** Enable/disable group-commit deferral for the *calling domain* (each
-    shard worker opts in for itself).  Enabling (re)starts the epoch
-    numbering at 1 with nothing persisted; disabling clears the domain's
-    own pending table — a worker stopping mid-batch must not leak deferred
-    lines into the next phase — and cannot affect any other domain. *)
+(** Enable/disable commit deferral for the *calling domain* (each shard
+    worker opts in for itself).  Epoch numbering is per domain and monotone
+    for the domain's lifetime, whatever the toggles.  Disabling clears the
+    domain's own pending table — a worker stopping mid-batch must not leak
+    deferred lines into the next phase — and cannot affect any other
+    domain. *)
 let[@pm.volatile] set_group b =
   let st = group_st () in
   st.on <- b;
-  if b then begin
-    st.epoch <- 1;
-    st.persisted <- 0
-  end;
   if not b then begin
     Hashtbl.reset st.tbl;
     st.pubs <- []
   end
-
-let group_enabled () = (group_st ()).on
 
 let defer line thunk =
   let t = (group_st ()).tbl in
   if not (Hashtbl.mem t line) then Hashtbl.add t line thunk
 
 (* An explicit flush of a deferred line supersedes the deferred one (and
-   avoids a redundant clwb at batch end, which the sanitizer would report). *)
+   avoids a redundant clwb at the epoch fence, which the sanitizer would
+   report). *)
 let group_drop line = Hashtbl.remove (group_st ()).tbl line
 
 (** Deferred commit lines recorded by the calling domain. *)
@@ -247,40 +233,6 @@ let[@pm.volatile] group_reset () =
   let st = group_st () in
   Hashtbl.reset st.tbl;
   st.pubs <- []
-
-(** Flush every line the calling domain deferred (each at most once —
-    lines an eager flush already persisted are skipped), then issue one
-    fence for the whole batch.  No-op when nothing is pending, so a
-    read-only batch costs no fence.  Returns the number of lines actually
-    flushed — the executor's mean-batch-coalescing metric.
-
-    Under sanitize mode, the deferred publication checks of everything
-    committed since the last flush run here, after the fence — the point
-    where the buffered-durability contract first permits an ack. *)
-let[@pm.volatile] group_flush ?site () =
-  let st = group_st () in
-  let n =
-    if Hashtbl.length st.tbl = 0 then 0
-    else begin
-      (* Reset before running thunks: a thunk may crash (injected fault),
-         and the batch is then abandoned wholesale — [group_reset] by the
-         catcher must not replay half of it. *)
-      let thunks = Hashtbl.fold (fun _ th acc -> th :: acc) st.tbl [] in
-      Hashtbl.reset st.tbl;
-      let n =
-        List.fold_left (fun acc th -> if th () then acc + 1 else acc) 0 thunks
-      in
-      Pmem.sfence ?site ();
-      n
-    end
-  in
-  (match st.pubs with
-  | [] -> ()
-  | ps ->
-      st.pubs <- [];
-      (* Commit order: the list was consed, so reverse before checking. *)
-      List.iter (fun check -> check ()) (List.rev ps));
-  n
 
 (* --- epochs --------------------------------------------------------------- *)
 
@@ -297,11 +249,16 @@ let epoch_current () = (group_st ()).epoch
 let epoch_persisted () = (group_st ()).persisted
 
 (** Close the calling domain's open epoch: flush each deferred commit line
-    once, issue one fence for all of them (none when nothing was deferred —
-    an empty epoch advances for free), mark the epoch persisted, and open
-    the next.  Returns [(e, lines)]: the newly persisted epoch number and
-    the count of lines actually flushed.  After this returns, every commit
-    tagged with an epoch [<= e] is durable and may be acknowledged. *)
+    once (lines an eager flush already persisted are skipped), issue one
+    fence for all of them (none when nothing was deferred — an empty epoch
+    advances for free), mark the epoch persisted, and open the next.
+    Returns [(e, lines)]: the newly persisted epoch number and the count of
+    lines actually flushed.  After this returns, every commit tagged with an
+    epoch [<= e] is durable and may be acknowledged.
+
+    Under sanitize mode, the deferred publication checks of everything
+    committed since the last advance run here, after the fence — the point
+    where the buffered-durability contract first permits an ack. *)
 let[@pm.volatile] epoch_advance ?site () =
   let st = group_st () in
   let lines =
@@ -310,7 +267,32 @@ let[@pm.volatile] epoch_advance ?site () =
       st.pubs <- [];
       0
     end
-    else group_flush ?site ()
+    else begin
+      let n =
+        if Hashtbl.length st.tbl = 0 then 0
+        else begin
+          (* Reset before running thunks: a thunk may crash (injected
+             fault), and the epoch is then abandoned wholesale —
+             [group_reset] by the catcher must not replay half of it. *)
+          let thunks = Hashtbl.fold (fun _ th acc -> th :: acc) st.tbl [] in
+          Hashtbl.reset st.tbl;
+          let n =
+            List.fold_left
+              (fun acc th -> if th () then acc + 1 else acc)
+              0 thunks
+          in
+          Pmem.sfence ?site ();
+          n
+        end
+      in
+      (match st.pubs with
+      | [] -> ()
+      | ps ->
+          st.pubs <- [];
+          (* Commit order: the list was consed, so reverse before checking. *)
+          List.iter (fun check -> check ()) (List.rev ps));
+      n
+    end
   in
   st.persisted <- st.epoch;
   st.epoch <- st.epoch + 1;
@@ -369,17 +351,17 @@ let store_ref ?site r i v =
   end
 
 (* Run the publication check now (per-op persistence) or park it on the
-   calling domain's deferred list to run after the epoch/batch fence —
-   the line is intentionally unpersisted until that fence, and the executor
-   acks only after it, so the fence is where the check belongs. *)
+   calling domain's deferred list to run after the epoch fence — the line
+   is intentionally unpersisted until that fence, and the executor acks
+   only after it, so the fence is where the check belongs. *)
 let[@inline] [@pm.volatile] publish_now_or_deferred check =
   let st = group_st () in
   if st.on then st.pubs <- check :: st.pubs else check ()
 
 (** Commit store: make the operation visible and durable.  Flush + fence
-    always — or, in group mode, deferred to the batch's {!group_flush} /
-    the epoch's {!epoch_advance} (the publication check moves to the same
-    fence: see [publish_now_or_deferred]). *)
+    always — or, with deferral on, deferred to the epoch's {!epoch_advance}
+    (the publication check moves to the same fence: see
+    [publish_now_or_deferred]). *)
 let[@pm.deferred] commit ?site w i v =
   (let st = group_st () in
    if st.txn_on then txn_capture_words st w i);

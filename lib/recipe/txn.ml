@@ -20,9 +20,9 @@
       the only safe order is entry-durable-before-store-executes.  A crash
       between the entry flush and the count flush simply drops the entry:
       its store has not run yet.
-   3. {b data flush}: flush every data line the transaction dirtied — in
-      group/epoch mode these are exactly the deferred commit lines, so
-      {!Persist.group_flush} flushes each once and fences once.
+   3. {b data flush}: flush every data line the transaction dirtied — with
+      deferral on these are exactly the deferred commit lines, so
+      {!Persist.epoch_advance} flushes each once and fences once.
    4. {b flip}: write the state word to [Committed], flush, fence — the
       commit point.  A crash strictly before the flip's fence finds
       [Prepared] and rolls the undo images back; a crash after finds
@@ -151,7 +151,7 @@ let[@pm.volatile] domain_wal () =
 module Decision = struct
   let n_slots = 64
 
-  let words =
+  let table =
     lazy
       (let w =
          Pmem.Words.make ~name:"txn-decisions"
@@ -164,10 +164,17 @@ module Decision = struct
 
   let mu = Mutex.create ()
 
+  (* The first claims race from every client domain, and forcing one lazy
+     value from two domains at once raises [CamlinternalLazy.Undefined]:
+     the first force runs under [mu]. *)
+  let words () =
+    if Lazy.is_val table then Lazy.force table
+    else Mutex.protect mu (fun () -> Lazy.force table)
+
   (** Claim a free slot for [tid] (decision = abort, the presumption).
       [None] when all slots are in flight — the router backpressures. *)
   let claim ~tid =
-    let w = Lazy.force words in
+    let w = words () in
     Mutex.lock mu;
     let slot = ref None in
     (try
@@ -191,7 +198,7 @@ module Decision = struct
   (** Persist the commit decision for [slot] — called by the last
       participant to prepare, strictly before any participant flips. *)
   let commit ~slot =
-    let w = Lazy.force words in
+    let w = words () in
     Pmem.Words.set w ((2 * slot) + 1) 1;
     Pmem.Words.clwb ~site:s_decision w (2 * slot);
     Pmem.sfence ~site:s_decision ()
@@ -199,7 +206,7 @@ module Decision = struct
   (** Free [slot] after every participant has flipped; its tid can only be
       recycled once no Prepared record references it. *)
   let release ~slot =
-    let w = Lazy.force words in
+    let w = words () in
     Pmem.Words.set w (2 * slot) 0;
     Pmem.Words.set w ((2 * slot) + 1) 0;
     Pmem.Words.clwb ~site:s_decision w (2 * slot);
@@ -207,7 +214,7 @@ module Decision = struct
 
   (** Did [tid] reach a durable commit decision? *)
   let committed ~tid =
-    let w = Lazy.force words in
+    let w = words () in
     let found = ref false in
     for s = 0 to n_slots - 1 do
       if Pmem.Words.get w (2 * s) = tid && Pmem.Words.get w ((2 * s) + 1) = 1
@@ -218,7 +225,7 @@ module Decision = struct
   (* Recovery wipes the table: after every WAL has been rolled, no
      Prepared record survives, so no decision is needed again. *)
   let reset () =
-    let w = Lazy.force words in
+    let w = words () in
     for i = 0 to (n_slots * 2) - 1 do
       Pmem.Words.set w i 0
     done;
@@ -233,7 +240,7 @@ let[@pm.volatile] clear_registry () =
   Mutex.lock reg_mu;
   (registry := []);
   Mutex.unlock reg_mu;
-  if Lazy.is_val Decision.words then Decision.reset ()
+  if Lazy.is_val Decision.table then Decision.reset ()
 
 (* --- prepare / flip / rollback ------------------------------------------ *)
 

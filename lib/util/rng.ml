@@ -28,8 +28,8 @@ let below t bound =
     ((next t land (lemire_max - 1)) * bound) lsr lemire_bits
   else next t mod bound
 
-(** Uniform float in [0, 1). *)
-let float t = float_of_int (next t land 0xFFFFFFFFFFFF) /. 140737488355328.0
+(** Uniform float in [0, 1): a 48-bit draw scaled by 2^-48. *)
+let float t = float_of_int (next t land 0xFFFFFFFFFFFF) /. 281474976710656.0
 
 (** Uniform positive key in [1, 2^61]; never 0, which indexes reserve as the
     empty-slot sentinel. *)

@@ -56,7 +56,7 @@ let make_zipf n theta =
   let scramble =
     Array.init n (fun rank ->
         let h = rank * 0x5DEECE66D land ((1 lsl 30) - 1) in
-        h * n lsr 30)
+        (h * n) lsr 30)
   in
   {
     n;

@@ -1,9 +1,9 @@
 (* The KV service layer end to end: wire-codec round trips (including
-   limit cases and truncated/corrupt frames), the group-commit deferral
+   limit cases and truncated/corrupt frames), the commit-deferral and epoch
    substrate, the sharded server over real index partitions through the
    codec-exercising in-process transport, all-or-nothing backpressure, the
-   group-persist flush saving, and the crash-mid-serving campaign (zero
-   lost acknowledged writes). *)
+   epoch flush/fence saving, and the crash-mid-serving campaign (zero lost
+   acknowledged writes). *)
 
 let () = Harness.Sanitize_env.init ()
 
@@ -378,11 +378,11 @@ let test_wire_malformed () =
   | `Malformed _ -> ()
   | _ -> Alcotest.fail "deflated length must be Malformed"
 
-(* --- group-commit deferral ----------------------------------------------- *)
+(* --- commit deferral ------------------------------------------------------ *)
 
-let test_group_deferral () =
+let test_commit_deferral () =
   with_env (fun () ->
-      let w = Pmem.Words.make ~name:"kv.group" 64 0 in
+      let w = Pmem.Words.make ~name:"kv.defer" 64 0 in
       ignore (Pmem.persist_everything ());
       let before = Pmem.Stats.snapshot () in
       Recipe.Persist.set_group true;
@@ -392,18 +392,18 @@ let test_group_deferral () =
       done;
       Alcotest.(check int) "one line pending" 1 (Recipe.Persist.group_pending ());
       let mid = Pmem.Stats.snapshot () in
-      Alcotest.(check int) "no flush before group_flush" 0
+      Alcotest.(check int) "no flush before the advance" 0
         (mid.Pmem.Stats.s_clwb - before.Pmem.Stats.s_clwb);
-      Alcotest.(check int) "no fence before group_flush" 0
+      Alcotest.(check int) "no fence before the advance" 0
         (mid.Pmem.Stats.s_sfence - before.Pmem.Stats.s_sfence);
-      let lines = Recipe.Persist.group_flush () in
+      let _, lines = Recipe.Persist.epoch_advance () in
       Alcotest.(check int) "one line flushed" 1 lines;
       let after = Pmem.Stats.snapshot () in
       Alcotest.(check int) "one clwb" 1
         (after.Pmem.Stats.s_clwb - mid.Pmem.Stats.s_clwb);
       Alcotest.(check int) "one sfence" 1
         (after.Pmem.Stats.s_sfence - mid.Pmem.Stats.s_sfence);
-      Alcotest.(check int) "nothing dirty after group flush" 0
+      Alcotest.(check int) "nothing dirty after the advance" 0
         (Pmem.dirty_count ());
       (* An explicit ordering flush supersedes the deferred one. *)
       Recipe.Persist.commit w 8 99;
@@ -411,17 +411,17 @@ let test_group_deferral () =
       Recipe.Persist.flush w 8;
       Alcotest.(check int) "explicit flush drops deferred line" 0
         (Recipe.Persist.group_pending ());
-      Alcotest.(check int) "empty group_flush is free" 0
-        (Recipe.Persist.group_flush ());
+      Alcotest.(check int) "empty advance is free" 0
+        (snd (Recipe.Persist.epoch_advance ()));
       Recipe.Persist.set_group false)
 
-(* Group mode is domain-local: toggling it on one domain (another server
+(* Deferral is domain-local: toggling it on one domain (another server
    starting or stopping) must not drop a worker domain's deferred commit
    lines — those lines back acknowledgements, so losing them silently
    breaks acked-implies-durable. *)
-let test_group_domain_scoped () =
+let test_deferral_domain_scoped () =
   with_env (fun () ->
-      let w = Pmem.Words.make ~name:"kv.group.dls" 16 0 in
+      let w = Pmem.Words.make ~name:"kv.defer.dls" 16 0 in
       ignore (Pmem.persist_everything ());
       let deferred = Atomic.make false and release = Atomic.make false in
       let worker =
@@ -433,14 +433,14 @@ let test_group_domain_scoped () =
               Domain.cpu_relax ()
             done;
             let pending = Recipe.Persist.group_pending () in
-            let flushed = Recipe.Persist.group_flush () in
+            let _, flushed = Recipe.Persist.epoch_advance () in
             (pending, flushed))
       in
       while not (Atomic.get deferred) do
         Domain.cpu_relax ()
       done;
       (* With a process-global flag this cleared every domain's table and the
-         worker's group_flush below would have seen nothing to flush. *)
+         worker's advance below would have seen nothing to flush. *)
       Recipe.Persist.set_group true;
       Recipe.Persist.set_group false;
       Atomic.set release true;
@@ -453,8 +453,9 @@ let test_group_domain_scoped () =
 
 (* Epoch numbering and cost: commits defer, one advance = one fence for the
    whole epoch, the persisted watermark trails the open epoch by exactly
-   one, and an empty advance is free (no flush, no fence) but still
-   renumbers — the degenerate idle case the controller relies on. *)
+   one (numbering is per domain and monotone, so it is checked relative to
+   the open epoch), and an empty advance is free (no flush, no fence) but
+   still renumbers — the degenerate idle case the controller relies on. *)
 let test_epoch_substrate () =
   with_env (fun () ->
       let w = Pmem.Words.make ~name:"kv.epoch" 64 0 in
@@ -463,9 +464,8 @@ let test_epoch_substrate () =
       Fun.protect
         ~finally:(fun () -> Recipe.Persist.set_group false)
         (fun () ->
-          Alcotest.(check int) "epoch opens at 1" 1
-            (Recipe.Persist.epoch_current ());
-          Alcotest.(check int) "nothing persisted yet" 0
+          let e0 = Recipe.Persist.epoch_current () in
+          Alcotest.(check int) "watermark trails the open epoch" (e0 - 1)
             (Recipe.Persist.epoch_persisted ());
           for i = 0 to 7 do
             Recipe.Persist.commit w i (i + 1)
@@ -473,22 +473,22 @@ let test_epoch_substrate () =
           let before = Pmem.Stats.snapshot () in
           let e, lines = Recipe.Persist.epoch_advance () in
           let after = Pmem.Stats.snapshot () in
-          Alcotest.(check int) "epoch 1 persisted" 1 e;
+          Alcotest.(check int) "open epoch persisted" e0 e;
           Alcotest.(check int) "one line flushed" 1 lines;
           Alcotest.(check int) "one clwb for the epoch" 1
             (after.Pmem.Stats.s_clwb - before.Pmem.Stats.s_clwb);
           Alcotest.(check int) "one sfence for the epoch" 1
             (after.Pmem.Stats.s_sfence - before.Pmem.Stats.s_sfence);
-          Alcotest.(check int) "next epoch open" 2
+          Alcotest.(check int) "next epoch open" (e0 + 1)
             (Recipe.Persist.epoch_current ());
-          Alcotest.(check int) "persisted watermark" 1
+          Alcotest.(check int) "persisted watermark" e0
             (Recipe.Persist.epoch_persisted ());
           Alcotest.(check int) "deferral table drained" 0
             (Recipe.Persist.group_pending ());
           let b2 = Pmem.Stats.snapshot () in
           let e2, l2 = Recipe.Persist.epoch_advance () in
           let a2 = Pmem.Stats.snapshot () in
-          Alcotest.(check int) "empty epoch still renumbers" 2 e2;
+          Alcotest.(check int) "empty epoch still renumbers" (e0 + 1) e2;
           Alcotest.(check int) "empty epoch flushes nothing" 0 l2;
           Alcotest.(check int) "empty epoch costs no fence" 0
             (a2.Pmem.Stats.s_sfence - b2.Pmem.Stats.s_sfence)))
@@ -584,7 +584,8 @@ let via_conn conn req =
 let test_server_smoke () =
   with_env (fun () ->
       let cfg =
-        { Server.shards = 2; batch = 8; queue_cap = 64; mode = Server.Group }
+        { Server.shards = 2; batch = 8; queue_cap = 64;
+          mode = Server.Epoch { EC.default_cfg with max_ops = 1 } }
       in
       let srv = Server.start cfg (Array.init 2 (fun _ -> Harness.Kvparts.art ())) in
       let conn = Server.Conn.create srv in
@@ -662,7 +663,8 @@ let test_server_smoke () =
 let test_conn_trickle () =
   with_env (fun () ->
       let cfg =
-        { Server.shards = 1; batch = 4; queue_cap = 16; mode = Server.Group }
+        { Server.shards = 1; batch = 4; queue_cap = 16;
+          mode = Server.Epoch { EC.default_cfg with max_ops = 1 } }
       in
       let srv = Server.start cfg [| Harness.Kvparts.art () |] in
       let conn = Server.Conn.create srv in
@@ -704,7 +706,8 @@ let test_conn_trickle () =
 let test_server_hash_partition () =
   with_env (fun () ->
       let cfg =
-        { Server.shards = 2; batch = 4; queue_cap = 64; mode = Server.Group }
+        { Server.shards = 2; batch = 4; queue_cap = 64;
+          mode = Server.Epoch { EC.default_cfg with max_ops = 1 } }
       in
       let srv =
         Server.start cfg (Array.init 2 (fun _ -> Harness.Kvparts.clht ()))
@@ -744,7 +747,8 @@ let test_stats_endpoint () =
         ~finally:(fun () -> Obs.Span.set_enabled false)
         (fun () ->
           let cfg =
-            { Server.shards = 2; batch = 8; queue_cap = 64; mode = Server.Group }
+            { Server.shards = 2; batch = 8; queue_cap = 64;
+              mode = Server.Epoch { EC.default_cfg with max_ops = 1 } }
           in
           let srv =
             Server.start cfg (Array.init 2 (fun _ -> Harness.Kvparts.art ()))
@@ -773,7 +777,8 @@ let test_stats_endpoint () =
           let f = field fields in
           Alcotest.(check int) "shards echoed" cfg.Server.shards (f "shards");
           Alcotest.(check int) "batch echoed" cfg.Server.batch (f "batch");
-          Alcotest.(check int) "group persist echoed" 1 (f "group_persist");
+          Alcotest.(check int) "epoch mode tagged" 2 (f "persist_mode");
+          Alcotest.(check int) "max_ops echoed" 1 (f "epoch.max_ops");
           Alcotest.(check int) "healthy" 0 (f "crashed");
           Alcotest.(check int) "spans flagged on" 1 (f "spans_enabled");
           Alcotest.(check bool) "acked ops counted" true (f "ops_acked" >= nput);
@@ -818,7 +823,8 @@ let test_stats_across_recovery () =
   with_env (fun () ->
       Obs.reset_all ();
       let cfg =
-        { Server.shards = 2; batch = 8; queue_cap = 64; mode = Server.Group }
+        { Server.shards = 2; batch = 8; queue_cap = 64;
+          mode = Server.Epoch { EC.default_cfg with max_ops = 1 } }
       in
       let parts = Array.init 2 (fun _ -> Harness.Kvparts.art ()) in
       let srv = Server.start cfg parts in
@@ -864,7 +870,8 @@ let test_spans_off_zero_overhead () =
       Obs.reset_all ();
       Alcotest.(check bool) "spans off by default" false (Obs.Span.enabled ());
       let cfg =
-        { Server.shards = 2; batch = 8; queue_cap = 64; mode = Server.Group }
+        { Server.shards = 2; batch = 8; queue_cap = 64;
+          mode = Server.Epoch { EC.default_cfg with max_ops = 1 } }
       in
       let srv = Server.start cfg (Array.init 2 (fun _ -> Harness.Kvparts.art ())) in
       let conn = Server.Conn.create srv in
@@ -1004,7 +1011,6 @@ let test_server_epoch_mode () =
         resp.Wire.replies;
       let f = field (stats_fields conn 3) in
       Alcotest.(check int) "epoch mode tagged" 2 (f "persist_mode");
-      Alcotest.(check int) "group persist not claimed" 0 (f "group_persist");
       Alcotest.(check int) "max_ops echoed" ecfg.EC.max_ops (f "epoch.max_ops");
       Alcotest.(check int) "max_lines echoed" ecfg.EC.max_lines
         (f "epoch.max_lines");
@@ -1069,9 +1075,8 @@ let test_epoch_acked_survive_power_failure () =
 
 (* --- the batching win ----------------------------------------------------- *)
 
-(* Write-heavy overwrite traffic over a small key space: group persist must
-   spend strictly fewer flushes and fences than per-op persist for the
-   same operation stream — and epoch mode must never be worse than group. *)
+(* Flush and fence counts of one write-heavy overwrite stream over a small
+   key space, identical traffic in every mode. *)
 let flushes_for ~mode () =
   fresh_env ();
   let cfg = { Server.shards = 2; batch = 32; queue_cap = 256; mode } in
@@ -1095,51 +1100,36 @@ let flushes_for ~mode () =
   ( after.Pmem.Stats.s_clwb - before.Pmem.Stats.s_clwb,
     after.Pmem.Stats.s_sfence - before.Pmem.Stats.s_sfence )
 
-let test_group_persist_saves_flushes () =
-  with_env (fun () ->
-      let clwb_on, sfence_on = flushes_for ~mode:Server.Group () in
-      let clwb_off, sfence_off = flushes_for ~mode:Server.Per_op () in
-      if not (clwb_on < clwb_off) then
-        Alcotest.fail
-          (Printf.sprintf "flushes not reduced: %d (group) vs %d (per-op)"
-             clwb_on clwb_off);
-      if not (sfence_on < sfence_off / 4) then
-        Alcotest.fail
-          (Printf.sprintf "fences not amortized: %d (group) vs %d (per-op)"
-             sfence_on sfence_off))
-
-(* The tentpole's "never a loss" cost side: epoch persistence must spend no
-   more flushes than per-op and no more fences than group — the epoch fence
-   covers at least one whole batch, usually several. *)
+(* Epoch persistence — closing after every batch ([max_ops = 1]) or under
+   the adaptive default — must spend no more flushes than per-op persist
+   and under a quarter of its fences: the epoch fence covers at least one
+   whole batch. *)
 let test_epoch_persist_saves_fences () =
   with_env (fun () ->
-      let clwb_e, sfence_e =
-        flushes_for ~mode:(Server.Epoch EC.default_cfg) ()
-      in
-      let clwb_g, sfence_g = flushes_for ~mode:Server.Group () in
       let clwb_p, sfence_p = flushes_for ~mode:Server.Per_op () in
-      if not (clwb_e <= clwb_p) then
-        Alcotest.fail
-          (Printf.sprintf "epoch flushed more than per-op: %d vs %d" clwb_e
-             clwb_p);
-      if not (sfence_e <= sfence_g) then
-        Alcotest.fail
-          (Printf.sprintf "epoch fenced more than group: %d vs %d" sfence_e
-             sfence_g);
-      if not (sfence_e < sfence_p / 4) then
-        Alcotest.fail
-          (Printf.sprintf "epoch fences not amortized: %d vs %d (per-op)"
-             sfence_e sfence_p);
-      ignore clwb_g)
+      List.iter
+        (fun (name, ecfg) ->
+          let clwb_e, sfence_e = flushes_for ~mode:(Server.Epoch ecfg) () in
+          if not (clwb_e <= clwb_p) then
+            Alcotest.failf "%s flushed more than per-op: %d vs %d" name clwb_e
+              clwb_p;
+          if not (sfence_e < sfence_p / 4) then
+            Alcotest.failf "%s fences not amortized: %d vs %d (per-op)" name
+              sfence_e sfence_p)
+        [
+          ("max_ops=1", { EC.default_cfg with max_ops = 1 });
+          ("default epoch", EC.default_cfg);
+        ])
 
 (* --- crash mid-serving ----------------------------------------------------- *)
 
 let servecrash_cfg =
-  { Server.shards = 2; batch = 8; queue_cap = 64; mode = Server.Group }
+  { Server.shards = 2; batch = 8; queue_cap = 64;
+    mode = Server.Epoch { EC.default_cfg with max_ops = 1 } }
 
-let run_campaign make =
-  Servecrash.campaign ~make ~cfg:servecrash_cfg ~states:3 ~load:60 ~ops:160
-    ~workers:2 ~seed:11 ()
+let run_campaign ?(mode = servecrash_cfg.Server.mode) make =
+  Servecrash.campaign ~make ~cfg:{ servecrash_cfg with mode } ~states:3
+    ~load:60 ~ops:160 ~workers:2 ~seed:11 ()
 
 let check_campaign name r =
   let b = r.Crashtest.base in
@@ -1203,6 +1193,16 @@ let test_crash_mid_serving_hash () =
   with_env (fun () ->
       let r = run_campaign (fun _ -> Harness.Kvparts.clht ()) in
       check_campaign "clht" r)
+
+(* Per-op mode acks through the same epoch release as every other mode, so
+   the campaign's post-restart stats check (nothing parked, >= 1 epoch)
+   must hold for it too. *)
+let test_crash_mid_serving_per_op () =
+  with_env (fun () ->
+      let r =
+        run_campaign ~mode:Server.Per_op (fun _ -> Harness.Kvparts.art ())
+      in
+      check_campaign "art per-op" r)
 
 (* --- crash mid-serving, epoch mode ----------------------------------------- *)
 
@@ -1297,13 +1297,11 @@ let () =
             Alcotest.test_case "epoch stats reply" `Quick
               test_wire_epoch_stats_reply;
           ] );
-      ( "group-persist",
+      ( "deferral",
         [
-          Alcotest.test_case "commit deferral" `Quick test_group_deferral;
+          Alcotest.test_case "commit deferral" `Quick test_commit_deferral;
           Alcotest.test_case "domain-scoped deferral" `Quick
-            test_group_domain_scoped;
-          Alcotest.test_case "flush saving vs per-op" `Quick
-            test_group_persist_saves_flushes;
+            test_deferral_domain_scoped;
         ] );
       ( "epoch",
         q [ epoch_ctl_props ]
@@ -1316,7 +1314,7 @@ let () =
               test_server_epoch_mode;
             Alcotest.test_case "acked ops survive power failure" `Quick
               test_epoch_acked_survive_power_failure;
-            Alcotest.test_case "fence saving vs group and per-op" `Quick
+            Alcotest.test_case "flush and fence saving vs per-op" `Quick
               test_epoch_persist_saves_fences;
           ] );
       ( "server",
@@ -1344,6 +1342,8 @@ let () =
             test_crash_mid_serving_ordered;
           Alcotest.test_case "mid-serving, hash" `Quick
             test_crash_mid_serving_hash;
+          Alcotest.test_case "mid-serving, per-op" `Quick
+            test_crash_mid_serving_per_op;
           Alcotest.test_case "epoch mid-epoch, ordered" `Quick
             test_epoch_crash_mid_epoch_art;
           Alcotest.test_case "epoch boundary, ordered" `Quick

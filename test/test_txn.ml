@@ -53,7 +53,7 @@ let stage_and_prepare ?(stop_before_flip = false) wal =
   let undo = Recipe.Persist.txn_undo_log () in
   Alcotest.(check int) "two lines captured" 2 (List.length undo);
   Recipe.Txn.seal wal;
-  ignore (Recipe.Persist.group_flush ());
+  ignore (Recipe.Persist.epoch_advance ());
   if not stop_before_flip then begin
     Recipe.Txn.flip_commit wal;
     Recipe.Persist.txn_end_commit ()
@@ -241,7 +241,7 @@ let run_differential name make ~upsert ~mode =
 let test_differential_art () =
   with_env (fun () ->
       run_differential "art" Harness.Kvparts.art ~upsert:true
-        ~mode:Server.Group)
+        ~mode:(Server.Epoch { Epoch_ctl.default_cfg with max_ops = 1 }))
 
 let test_differential_clht () =
   with_env (fun () ->
@@ -284,7 +284,9 @@ let test_txn_crash_art_single_shard () =
       check_txn_campaign "art/1shard"
         (run_txn_campaign
            ~make:(fun _ -> Harness.Kvparts.art ())
-           ~shards:1 ~mode:Server.Group ~plan:`Boundary ~seed:21))
+           ~shards:1
+           ~mode:(Server.Epoch { Epoch_ctl.default_cfg with max_ops = 1 })
+           ~plan:`Boundary ~seed:21))
 
 let test_txn_crash_art_cross_shard () =
   with_env (fun () ->
@@ -313,7 +315,9 @@ let test_txn_crash_clht_cross_shard () =
       check_txn_campaign "clht/2shard"
         (run_txn_campaign
            ~make:(fun _ -> Harness.Kvparts.clht ())
-           ~shards:2 ~mode:Server.Group ~plan:`Random ~seed:24))
+           ~shards:2
+           ~mode:(Server.Epoch { Epoch_ctl.default_cfg with max_ops = 1 })
+           ~plan:`Random ~seed:24))
 
 let () =
   Alcotest.run "txn"

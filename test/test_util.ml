@@ -46,6 +46,19 @@ let test_rng_below () =
     if v < 0 || v >= 17 then Alcotest.failf "out of range: %d" v
   done
 
+let test_rng_float_unit () =
+  let r = Util.Rng.create 13 in
+  let n = 10_000 in
+  let sum = ref 0.0 in
+  for _ = 1 to n do
+    let u = Util.Rng.float r in
+    if not (u >= 0.0 && u < 1.0) then Alcotest.failf "out of [0, 1): %g" u;
+    sum := !sum +. u
+  done;
+  let mean = !sum /. float_of_int n in
+  if not (mean >= 0.49 && mean <= 0.51) then
+    Alcotest.failf "mean %g outside [0.49, 0.51]" mean
+
 let test_rng_keys_positive () =
   let r = Util.Rng.create 5 in
   for _ = 1 to 10_000 do
@@ -181,6 +194,7 @@ let () =
         [
           Alcotest.test_case "determinism" `Quick test_rng_determinism;
           Alcotest.test_case "below range" `Quick test_rng_below;
+          Alcotest.test_case "float in [0, 1)" `Quick test_rng_float_unit;
           Alcotest.test_case "keys positive" `Quick test_rng_keys_positive;
         ] );
       ( "keys",

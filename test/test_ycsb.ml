@@ -104,6 +104,36 @@ let test_determinism () =
     Alcotest.(check int) "same universe" (Ycsb.key_int p1 i) (Ycsb.key_int p2 i)
   done
 
+(* Zipfian reads are skewed but not degenerate: at theta 0.99 over 1000 keys
+   the hottest rank draws about 1/zeta(1000) ~ 13% of reads.  A sampler fed
+   uniforms outside [0, 1) clamps them all onto one rank, which then takes
+   over half of the reads. *)
+let test_zipfian_skew () =
+  reset ();
+  let n = 1_000 in
+  let p =
+    Ycsb.prepare ~workload:Ycsb.C ~kind:Ycsb.Randint ~dist:(Ycsb.Zipfian 0.99)
+      ~nloaded:n ~nops:20_000 ~threads:2 ~seed:9 ()
+  in
+  let hits = Array.init n (fun _ -> Atomic.make 0) in
+  let d =
+    {
+      Ycsb.dname = "count";
+      insert = (fun _ -> ());
+      read =
+        (fun i ->
+          Atomic.incr hits.(i);
+          true);
+      scan = None;
+    }
+  in
+  let r = Ycsb.run p d in
+  let hottest = Array.fold_left (fun m c -> max m (Atomic.get c)) 0 hits in
+  Alcotest.(check bool)
+    (Printf.sprintf "hottest key %d of %d reads <= 25%%" hottest r.Ycsb.ops)
+    true
+    (4 * hottest <= r.Ycsb.ops)
+
 (* End-to-end on real indexes: load + every workload must complete and find
    every read. *)
 let test_end_to_end_clht () =
@@ -186,6 +216,7 @@ let () =
           Alcotest.test_case "unique keys" `Quick test_unique_keys;
           Alcotest.test_case "string key shape" `Quick test_string_keys_shape;
           Alcotest.test_case "determinism" `Quick test_determinism;
+          Alcotest.test_case "zipfian skew" `Quick test_zipfian_skew;
         ] );
       ( "end to end",
         [
