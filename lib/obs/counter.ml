@@ -1,11 +1,15 @@
 (* Named, per-domain sharded counters.
 
-   [incr]/[add] touch only the calling domain's cache-padded slot (see
-   {!Shard}), so multi-threaded YCSB runs can keep counting without the
-   contention that forced the old single-block [Stats] counters to be
-   single-threaded-only.  [value] merges the slots. *)
+   [incr]/[add] touch only the calling domain's {!Slot}, so multi-threaded
+   YCSB runs count without contention.  Slot cells are plain ints spaced
+   [stride] words apart (OCaml atomics are boxed, so an "atomic array"
+   would not pad them).  [value] merges the slots unsynchronized: exact
+   after [Domain.join], possibly a few increments behind while workers
+   still run. *)
 
 type t = { name : string; slots : int array }
+
+let stride = 8 (* 8 words = 64 bytes: one slot per cache line *)
 
 (* Registry of every counter ever created, for exporters.  Creation is rare
    (module init, first use); guarded by a mutex.  Reads copy under the same
@@ -19,7 +23,7 @@ let v name =
     match Hashtbl.find_opt registry name with
     | Some t -> t
     | None ->
-        let t = { name; slots = Array.make (Shard.shards * Shard.stride) 0 } in
+        let t = { name; slots = Array.make (Slot.max_domains * stride) 0 } in
         Hashtbl.add registry name t;
         t
   in
@@ -28,20 +32,18 @@ let v name =
 
 let name t = t.name
 
-let incr t =
-  let i = Shard.slot () in
-  Array.unsafe_set t.slots i (Array.unsafe_get t.slots i + 1)
-
-let add t n =
-  let i = Shard.slot () in
+let[@inline] add t n =
+  let i = Slot.get () * stride in
   Array.unsafe_set t.slots i (Array.unsafe_get t.slots i + n)
+
+let incr t = add t 1
 
 let value t =
   let s = ref 0 in
   let i = ref 0 in
   while !i < Array.length t.slots do
     s := !s + t.slots.(!i);
-    i := !i + Shard.stride
+    i := !i + stride
   done;
   !s
 

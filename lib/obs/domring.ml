@@ -1,25 +1,17 @@
-(* Per-domain ring buffers keyed by the *real* domain id.
+(* Per-domain ring buffers, one per {!Slot}: the storage under both the
+   event trace and the span rings.
 
-   The original trace ring picked its slot as [did land (Shard.shards - 1)],
-   so two live domains whose ids collide modulo 128 shared one ring and
-   raced on its [next]/[total] fields unsynchronized — events were silently
-   lost.  Domain ids are assigned sequentially and never reused, so a
-   campaign that spawns domains in waves (every {!Loadgen.run} spawns a
-   fresh set) walks past 128 quickly.  Here each recording domain gets its
-   own ring, created on first use in a registry that grows on demand.
-
-   Concurrency argument: a ring is created by its owner domain under
-   [mu] and thereafter written only by that owner, so the hot-path
-   record is a plain write to domain-private memory.  The registry array
-   is replaced on growth; a stale unsynchronized read of the old array
-   still finds the caller's own ring (growth copies every slot, and the
-   caller's own creation is ordered before its later reads), so the fast
-   path needs no lock.  Readers ([dump]/[total]) take [mu] to see the
-   latest registry but read ring contents unsynchronized — the same
-   snapshot-after-join discipline as {!Shard} counter merging. *)
+   Each recording domain writes only the ring of its own slot, so the
+   hot-path record is a plain write to domain-private memory.  A ring is
+   created on its slot's first record, under [mu], so a concurrent
+   [clear]/[set_capacity] never leaves a ring of a stale capacity
+   installed.  A recycled slot's ring simply continues with the new
+   occupant's events; every stored value carries its own real domain id
+   where the consumer needs one.  Readers ([dump]/[total]) take [mu] to
+   snapshot the ring table but read ring contents unsynchronized — the
+   same snapshot-after-join discipline as {!Counter} merging. *)
 
 type 'a ring = {
-  owner : int; (* domain id; rings are keyed and written by owner only *)
   events : 'a option array;
   mutable next : int;
   mutable total : int; (* recorded ever, retained or overwritten *)
@@ -28,56 +20,39 @@ type 'a ring = {
 type 'a t = {
   mu : Mutex.t;
   mutable cap : int; (* capacity of rings created from now on *)
-  mutable rings : 'a ring option array; (* index = domain id *)
+  rings : 'a ring option array; (* index = slot *)
 }
 
 let create ~capacity =
   if capacity <= 0 then invalid_arg "Domring.create: capacity must be positive";
-  { mu = Mutex.create (); cap = capacity; rings = [||] }
+  { mu = Mutex.create (); cap = capacity; rings = Array.make Slot.max_domains None }
 
 let capacity t = t.cap
+
+let reset t cap =
+  Mutex.protect t.mu (fun () ->
+      t.cap <- cap;
+      Array.fill t.rings 0 Slot.max_domains None)
+
+let clear t = reset t t.cap
 
 (** Change the per-ring capacity.  Existing rings are discarded (their
     retained events included): capacity is a creation-time property, so a
     live resize would mix ring sizes within one dump. *)
 let set_capacity t n =
   if n <= 0 then invalid_arg "Domring.set_capacity: capacity must be positive";
-  Mutex.lock t.mu;
-  t.cap <- n;
-  t.rings <- [||];
-  Mutex.unlock t.mu
+  reset t n
 
-let clear t =
-  Mutex.lock t.mu;
-  t.rings <- [||];
-  Mutex.unlock t.mu
-
-(* The calling domain's ring, created on first use. *)
+(* The calling domain's ring, created on its slot's first use. *)
 let ring_for t =
-  let did = (Domain.self () :> int) in
-  let fast = if did < Array.length t.rings then t.rings.(did) else None in
-  match fast with
+  let s = Slot.get () in
+  match t.rings.(s) with
   | Some r -> r
   | None ->
-      Mutex.lock t.mu;
-      if did >= Array.length t.rings then begin
-        let n = max (did + 1) (max 8 (2 * Array.length t.rings)) in
-        let a = Array.make n None in
-        Array.blit t.rings 0 a 0 (Array.length t.rings);
-        t.rings <- a
-      end;
-      let r =
-        match t.rings.(did) with
-        | Some r -> r (* a clear/grow raced us; our ring survived the copy *)
-        | None ->
-            let r =
-              { owner = did; events = Array.make t.cap None; next = 0; total = 0 }
-            in
-            t.rings.(did) <- Some r;
-            r
-      in
-      Mutex.unlock t.mu;
-      r
+      Mutex.protect t.mu (fun () ->
+          let r = { events = Array.make t.cap None; next = 0; total = 0 } in
+          t.rings.(s) <- Some r;
+          r)
 
 let record t v =
   let r = ring_for t in
@@ -87,9 +62,7 @@ let record t v =
   r.total <- r.total + 1
 
 let fold_rings t f acc =
-  Mutex.lock t.mu;
-  let rings = t.rings in
-  Mutex.unlock t.mu;
+  let rings = Mutex.protect t.mu (fun () -> Array.copy t.rings) in
   Array.fold_left
     (fun acc -> function None -> acc | Some r -> f acc r)
     acc rings
@@ -106,9 +79,6 @@ let dump t =
 (** Events recorded ever, including those since overwritten. *)
 let total t = fold_rings t (fun acc r -> acc + r.total) 0
 
-(** Events lost to ring overwrites across all domains. *)
+(** Events lost to ring overwrites across all slots. *)
 let dropped t =
   fold_rings t (fun acc r -> acc + max 0 (r.total - Array.length r.events)) 0
-
-(** Domains that have recorded at least once since the last clear. *)
-let rings_allocated t = fold_rings t (fun acc _ -> acc + 1) 0

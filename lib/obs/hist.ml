@@ -1,8 +1,8 @@
 (* Named, per-domain sharded log-scale histograms.
 
-   One {!Util.Histogram} per domain slot; [observe] mutates only the calling
-   domain's histogram (slot ownership as in {!Shard}), [merged] folds the
-   slots into a fresh histogram for percentile queries. *)
+   One {!Util.Histogram} per {!Slot}; [observe] mutates only the calling
+   domain's histogram, [merged] folds the slots into a fresh histogram for
+   percentile queries (unsynchronized, as {!Counter.value}). *)
 
 type t = { name : string; slots : Util.Histogram.t array }
 
@@ -15,9 +15,8 @@ let v name =
     match Hashtbl.find_opt registry name with
     | Some t -> t
     | None ->
-        let t =
-          { name; slots = Array.init Shard.shards (fun _ -> Util.Histogram.create ()) }
-        in
+        let slots = Array.init Slot.max_domains (fun _ -> Util.Histogram.create ()) in
+        let t = { name; slots } in
         Hashtbl.add registry name t;
         t
   in
@@ -27,7 +26,7 @@ let v name =
 let name t = t.name
 
 let observe t ns =
-  Util.Histogram.add t.slots.((Domain.self () :> int) land (Shard.shards - 1)) ns
+  Util.Histogram.add (Array.unsafe_get t.slots (Slot.get ())) ns
 
 let merged t =
   let h = Util.Histogram.create () in

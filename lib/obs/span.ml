@@ -24,7 +24,7 @@
    Off-path discipline mirrors the PSan guard: when disabled, the serving
    hot path pays one ref read per request and allocates nothing (items
    carry a constant [None]).  When enabled, finished spans land in
-   per-domain rings ({!Domring}, keyed by real domain id) for Traceview
+   per-domain rings ({!Domring}, one per {!Slot}) for Traceview
    export, and a global counter tracks how many spans completed ever. *)
 
 type t = {
@@ -43,7 +43,7 @@ let enabled_flag = ref false
 let enabled () = !enabled_flag
 let set_enabled b = enabled_flag := b
 let now () = Int64.to_int (Monotonic_clock.now ())
-let default_capacity = 4096 (* finished spans retained per domain *)
+let default_capacity = 4096 (* finished spans retained per slot *)
 let rings : t Domring.t = Domring.create ~capacity:default_capacity
 let capacity () = Domring.capacity rings
 let set_capacity n = Domring.set_capacity rings n

@@ -4,12 +4,12 @@
    enabled, an event is a small record stamped with a global sequence number
    (atomic fetch-add — tracing trades some contention for a total order) and
    a monotonic-ns timestamp, written into the recording domain's ring (see
-   {!Domring}: rings are keyed by *real* domain id, so concurrent domains
-   never share one); the oldest events of a full ring are silently dropped,
-   which bounds both memory and overhead.  [dump] merges all rings in
-   sequence order, typically printed when a crash campaign fails; always
-   print {!pp_header} (or check {!dropped}) alongside a dump so a truncated
-   window is never read as the complete history. *)
+   {!Domring}: one ring per {!Slot}, so live domains never share one; each
+   event carries its real domain id); the oldest events of a full ring are
+   silently dropped, which bounds both memory and overhead.  [dump] merges
+   all rings in sequence order, typically printed when a crash campaign
+   fails; always print {!pp_header} (or check {!dropped}) alongside a dump
+   so a truncated window is never read as the complete history. *)
 
 type kind =
   | Op_begin (* label = op name, arg = key/universe index *)
@@ -38,7 +38,7 @@ type event = {
   arg : int;
 }
 
-let default_capacity = 1024 (* events per domain ring *)
+let default_capacity = 1024 (* events per slot ring *)
 
 let rings : event Domring.t =
   let cap =
@@ -93,6 +93,6 @@ let pp_event ppf e =
 let pp_header ppf () =
   let tot = total () in
   let drop = dropped () in
-  Fmt.pf ppf "trace: %d recorded, %d retained, %d dropped (capacity %d/domain)%s"
+  Fmt.pf ppf "trace: %d recorded, %d retained, %d dropped (capacity %d/slot)%s"
     tot (tot - drop) drop (capacity ())
     (if drop > 0 then " — window is INCOMPLETE" else "")

@@ -76,15 +76,13 @@ let uninstall () = h := noop
    belongs to flush/fence/commit points, not raw stores), but the sanitizer
    wants to name the *store* site when it later reports the line.  The
    [Recipe.Persist] combinators publish their [?site] here around the store
-   they perform; the store handler picks it up.  Slots are per-domain, so no
-   synchronisation is needed. *)
+   they perform; the store handler picks it up.  Entries are per
+   {!Obs.Slot}, so no synchronisation is needed. *)
 
-let slots = 128
-let site_ctx : Obs.Site.t option array = Array.make slots None
-let[@inline] dom_slot () = (Domain.self () :> int) land (slots - 1)
-let set_site s = Array.unsafe_set site_ctx (dom_slot ()) s
-let clear_site () = Array.unsafe_set site_ctx (dom_slot ()) None
-let current_site () = Array.unsafe_get site_ctx (dom_slot ())
+let site_ctx : Obs.Site.t option array = Array.make Obs.Slot.max_domains None
+let set_site s = Array.unsafe_set site_ctx (Obs.Slot.get ()) s
+let clear_site () = Array.unsafe_set site_ctx (Obs.Slot.get ()) None
+let current_site () = Array.unsafe_get site_ctx (Obs.Slot.get ())
 
 (* --- speculative read sections ------------------------------------------
 
@@ -95,10 +93,16 @@ let current_site () = Array.unsafe_get site_ctx (dom_slot ())
    sanitize flag at the call site); the race check skips reads made at
    non-zero depth. *)
 
-let spec_ctx : int array = Array.make (slots * 8) 0
-let spec_enter () = spec_ctx.(dom_slot () * 8) <- spec_ctx.(dom_slot () * 8) + 1
-let spec_exit () = spec_ctx.(dom_slot () * 8) <- spec_ctx.(dom_slot () * 8) - 1
-let spec_depth () = spec_ctx.(dom_slot () * 8)
+(* One cell per slot, 8 words (a cache line) apart. *)
+let spec_ctx : int array = Array.make (Obs.Slot.max_domains * 8) 0
+
+let spec_add d =
+  let i = Obs.Slot.get () * 8 in
+  spec_ctx.(i) <- spec_ctx.(i) + d
+
+let spec_enter () = spec_add 1
+let spec_exit () = spec_add (-1)
+let spec_depth () = spec_ctx.(Obs.Slot.get () * 8)
 
 (* --- fault injection (mutation tests) ------------------------------------
 

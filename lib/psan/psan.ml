@@ -159,19 +159,17 @@ type dom = {
   mutable flushes : int; (* clwbs since this domain's last fence *)
 }
 
-let n_doms = 128
-
 let doms =
-  Array.init n_doms (fun _ ->
+  Array.init Obs.Slot.max_domains (fun _ ->
       { did = -1; clock = 0; pending = Hashtbl.create 64; flushes = 0 })
 
-(* Domain ids are never reused by the runtime but our slot array is finite;
-   (re)initialize the slot whenever a new domain lands on it.  A fresh
-   domain starts with the current global clock — the spawn edge: everything
-   written before it existed is visible to it. *)
+(* One record per {!Obs.Slot}.  A slot outlives its domain and is recycled,
+   so (re)initialize the record whenever a new domain id lands on it.  A
+   fresh domain starts with the current global clock — the spawn edge:
+   everything written before it existed is visible to it. *)
 let dom () =
   let did = (Domain.self () :> int) in
-  let d = Array.unsafe_get doms (did land (n_doms - 1)) in
+  let d = Array.unsafe_get doms (Obs.Slot.get ()) in
   if d.did <> did then begin
     d.did <- did;
     d.clock <- now ();

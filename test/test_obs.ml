@@ -1,6 +1,7 @@
 (* Tests for the observability subsystem: sharded counters and histograms
-   under multi-domain load, the site-attribution invariant against the
-   legacy Stats façade, trace ring wraparound, and the JSON round trip. *)
+   under multi-domain load, per-domain slot isolation and recycling, the
+   site-attribution invariant against the legacy Stats façade, trace ring
+   wraparound, and the JSON round trip. *)
 
 let reset () =
   Pmem.Mode.set_shadow false;
@@ -142,18 +143,33 @@ let test_trace_disabled_records_nothing () =
   Alcotest.(check int) "disabled ring stays empty" 0
     (List.length (Obs.Trace.dump ()))
 
-(* Regression for the ring-collision race: the old trace ring picked its
-   slot as [did land (Shard.shards - 1)], so two live domains whose ids
-   collide modulo 128 shared one ring and clobbered each other's events
-   unsynchronized.  Hunt for a spawned domain whose id collides with the
-   main domain's modulo 128 (ids are sequential and never reused, so at
-   most ~128 spawns), record from both concurrently, and require every
-   event from both domains to be retained. *)
+(* Regression for the slot-collision race: counters, histograms, the
+   sanitizer's speculation depth and the trace rings all used to pick
+   their slot as [did land 127], so two live domains whose ids collide
+   modulo 128 shared one slot and raced on it unsynchronized — increments,
+   samples and events were silently lost.  Hunt for a spawned domain whose
+   id collides with the main domain's modulo 128 (ids are sequential and
+   never reused, so at most ~128 spawns), drive every per-domain table
+   from both concurrently, and require exact totals from both domains.
+   [per] is large enough that the race shows on two cores. *)
 let test_trace_domain_collision () =
   reset ();
   Obs.Trace.set_capacity 16_384;
   Obs.Trace.set_enabled true;
-  let per = 1_000 in
+  let c = Obs.counter "test.collision" in
+  let h = Obs.hist "test.collision" in
+  let per = 200_000 and events = 1_000 in
+  (* One domain's share of the load; returns its speculation depth. *)
+  let work label =
+    for i = 1 to per do
+      Obs.Counter.incr c;
+      Obs.Hist.observe h i;
+      Pmem.Sanhook.spec_enter ();
+      Pmem.Sanhook.spec_exit ();
+      if i <= events then Obs.Trace.record Obs.Trace.Note ~arg:i label
+    done;
+    Pmem.Sanhook.spec_depth ()
+  in
   let d0 = (Domain.self () :> int) in
   let rec hunt budget =
     if budget = 0 then Alcotest.fail "no colliding domain id within budget"
@@ -167,37 +183,69 @@ let test_trace_domain_collision () =
             while not (Atomic.get go) do
               Domain.cpu_relax ()
             done;
-            if (self - d0) mod 128 = 0 then
-              for i = 1 to per do
-                Obs.Trace.record Obs.Trace.Note ~arg:i "spawned"
-              done)
+            if (self - d0) mod 128 = 0 then work "spawned" else 0)
       in
       while Atomic.get id < 0 do
         Domain.cpu_relax ()
       done;
       let collide = (Atomic.get id - d0) mod 128 = 0 in
       Atomic.set go true;
-      if collide then
-        for i = 1 to per do
-          Obs.Trace.record Obs.Trace.Note ~arg:i "main"
-        done;
-      Domain.join d;
-      if not collide then hunt (budget - 1)
+      let main_depth = if collide then work "main" else 0 in
+      let spawned_depth = Domain.join d in
+      if collide then (main_depth, spawned_depth) else hunt (budget - 1)
     end
   in
-  hunt 300;
+  let main_depth, spawned_depth = hunt 300 in
   Obs.Trace.set_enabled false;
-  let events = Obs.Trace.dump () in
+  Alcotest.(check int) "no increment lost to a shared slot" (2 * per)
+    (Obs.Counter.value c);
+  Alcotest.(check int) "no sample lost to a shared slot" (2 * per)
+    (Obs.Hist.count h);
+  Alcotest.(check int) "main domain's speculation depth balanced" 0 main_depth;
+  Alcotest.(check int) "colliding domain's speculation depth balanced" 0
+    spawned_depth;
+  let events_of = Obs.Trace.dump () in
   let by label =
-    List.length (List.filter (fun e -> e.Obs.Trace.label = label) events)
+    List.length (List.filter (fun e -> e.Obs.Trace.label = label) events_of)
   in
-  Alcotest.(check int) "no event lost to a shared ring" (2 * per)
-    (List.length events);
-  Alcotest.(check int) "main domain's events all retained" per (by "main");
-  Alcotest.(check int) "colliding domain's events all retained" per
+  Alcotest.(check int) "no event lost to a shared ring" (2 * events)
+    (List.length events_of);
+  Alcotest.(check int) "main domain's events all retained" events (by "main");
+  Alcotest.(check int) "colliding domain's events all retained" events
     (by "spawned");
   Alcotest.(check int) "nothing overwritten" 0 (Obs.Trace.dropped ());
   Obs.Trace.set_capacity Obs.Trace.default_capacity
+
+(* Slots are recycled: 300 domains spawned and joined one after another
+   (well past the 128 a live set may hold) each take a slot, count and
+   trace into it, and hand it back on exit.  Without recycling the 129th
+   domain would find no free slot and raise. *)
+let test_slot_recycling () =
+  reset ();
+  Obs.Trace.set_enabled true;
+  let c = Obs.counter "test.slot_recycling" in
+  let n = 300 in
+  for i = 1 to n do
+    let d =
+      Domain.spawn (fun () ->
+          Obs.Counter.incr c;
+          Obs.Trace.record Obs.Trace.Note ~arg:i "recycled")
+    in
+    match Domain.join d with
+    | () -> ()
+    | exception Failure msg -> Alcotest.failf "domain %d raised: %s" i msg
+  done;
+  Obs.Trace.set_enabled false;
+  Alcotest.(check int) "exact count across recycled slots" n
+    (Obs.Counter.value c);
+  let events =
+    List.filter (fun e -> e.Obs.Trace.label = "recycled") (Obs.Trace.dump ())
+  in
+  Alcotest.(check int) "every event retained at the default capacity" n
+    (List.length events);
+  Alcotest.(check int) "events keep their real domain ids" n
+    (List.length
+       (List.sort_uniq compare (List.map (fun e -> e.Obs.Trace.domain) events)))
 
 let contains s sub =
   let n = String.length s and m = String.length sub in
@@ -356,6 +404,8 @@ let () =
             test_trace_disabled_records_nothing;
           Alcotest.test_case "no ring sharing across colliding domain ids"
             `Quick test_trace_domain_collision;
+          Alcotest.test_case "slots recycled across 300 domains" `Quick
+            test_slot_recycling;
           Alcotest.test_case "configurable capacity + drop accounting" `Quick
             test_trace_set_capacity;
           Alcotest.test_case "trace-event export" `Quick test_traceview_export;
