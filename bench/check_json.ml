@@ -6,11 +6,7 @@
 
 module J = Obs.Json
 
-let required_indexes =
-  [
-    "P-ART"; "P-HOT"; "P-Masstree"; "P-BwTree"; "FAST&FAIR"; "WOART";
-    "P-CLHT"; "CCEH"; "Level";
-  ]
+let required_indexes = List.map (fun e -> e.Harness.Index.name) Harness.Index.all
 
 let fail fmt = Printf.ksprintf failwith fmt
 

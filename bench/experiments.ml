@@ -16,28 +16,21 @@ let reset_env () =
   Util.Lock.new_epoch ();
   Recipe.Persist.set_naive false
 
-let space_of = function
-  | Ycsb.Randint -> Recipe.Wordkey.int_space ()
-  | Ycsb.Strkey -> Recipe.Wordkey.string_space ()
+module I = Harness.Index
 
-(* Fresh instance + driver per ordered index. *)
+let entry name = Option.get (I.find name)
+let driver ?kind e = (e.I.name, I.driver ?kind e)
+let subject e = (e.I.name, I.subject e)
+
+(* Fig 4's ordered indexes (WOART is compared on its own in §7.3).  [kind]
+   also fixes the B+-trees' word-key space for the flush counters, which
+   always load integer keys. *)
 let ordered_indexes kind =
-  [
-    ( "FAST&FAIR",
-      fun p -> Harness.Drivers.fastfair p (Fastfair.create ~space:(space_of kind) ()) );
-    ( "P-BwTree",
-      fun p -> Harness.Drivers.bwtree p (Bwtree.create ~space:(space_of kind) ()) );
-    ("P-Masstree", fun p -> Harness.Drivers.masstree p (Masstree.create ()));
-    ("P-ART", fun p -> Harness.Drivers.art p (Art.create ()));
-    ("P-HOT", fun p -> Harness.Drivers.hot p (Hot.create ()));
-  ]
+  List.filter (fun e -> I.ordered e && e.I.name <> Woart.name) I.all
+  |> List.map (driver ~kind)
 
 let hash_indexes =
-  [
-    ("CCEH", fun p -> Harness.Drivers.cceh p (Cceh.create ()));
-    ("Level", fun p -> Harness.Drivers.levelhash p (Levelhash.create ()));
-    ("P-CLHT", fun p -> Harness.Drivers.clht p (Clht.create ()));
-  ]
+  List.filter (fun e -> not (I.ordered e)) I.all |> List.map driver
 
 (* One (index, workload) cell: fresh index, load, then measure.  Load_a's
    measurement is the load phase itself. *)
@@ -192,12 +185,7 @@ let table4 () =
 (* --- E8: §7.3 — P-ART vs WOART ----------------------------------------------------- *)
 
 let woart_comparison cfg =
-  let indexes =
-    [
-      ("P-ART", fun p -> Harness.Drivers.art p (Art.create ()));
-      ("WOART", fun p -> Harness.Drivers.woart p (Woart.create ()));
-    ]
-  in
+  let indexes = List.map driver [ I.art; entry Woart.name ] in
   let workloads = [ Ycsb.A; Ycsb.B; Ycsb.C; Ycsb.E ] in
   let cells =
     List.map
@@ -230,19 +218,7 @@ let woart_comparison cfg =
 
 let crash_campaign cfg =
   Report.section "§7.5: crash-recovery testing";
-  let subjects =
-    [
-      ("P-CLHT", Harness.Subjects.clht);
-      ("P-HOT", Harness.Subjects.hot);
-      ("P-BwTree", Harness.Subjects.bwtree);
-      ("P-ART", Harness.Subjects.art);
-      ("P-Masstree", Harness.Subjects.masstree);
-      ("FAST&FAIR", fun () -> Harness.Subjects.fastfair ());
-      ("CCEH", fun () -> Harness.Subjects.cceh ());
-      ("Level", Harness.Subjects.levelhash);
-      ("WOART", Harness.Subjects.woart);
-    ]
-  in
+  let subjects = List.map subject I.all in
   Printf.printf
     "consistency: %d crash states each; load=400 keys, 400 mixed ops on 4 threads\n"
     cfg.states;
@@ -263,22 +239,18 @@ let crash_campaign cfg =
           ~load:400 ~seed:cfg.seed ()
       in
       Format.printf "  %-12s %a@." name Crashtest.pp_report r)
-    [
-      ("P-CLHT", Harness.Subjects.clht);
-      ("P-HOT", Harness.Subjects.hot);
-      ("P-BwTree", Harness.Subjects.bwtree);
-      ("P-ART", Harness.Subjects.art);
-      ("P-Masstree", Harness.Subjects.masstree);
-    ];
+    (List.filter (fun e -> e.I.converted) I.all |> List.map subject);
   print_endline "";
   print_endline "deterministic sweeps against the reproduced paper bugs:";
-  let sweep name mk =
-    let r = Crashtest.sweep ~make:mk ~points:20_000 ~stride:1 ~load:3_000 () in
-    Format.printf "  %-18s %a@." name Crashtest.pp_report r
+  let sweep name bug =
+    let e = Option.get (I.variant (entry name) bug) in
+    let r =
+      Crashtest.sweep ~make:(I.subject e) ~points:20_000 ~stride:1 ~load:3_000 ()
+    in
+    Format.printf "  %-18s %a@." e.I.name Crashtest.pp_report r
   in
-  sweep "FAST&FAIR(buggy)" (fun () ->
-      Harness.Subjects.fastfair ~bug_split_order:true ());
-  sweep "CCEH(buggy)" (fun () -> Harness.Subjects.cceh ~bug_doubling:true ())
+  sweep Fastfair.name "split-order";
+  sweep Cceh.name "doubling"
 
 (* --- E10: §5 durability test ----------------------------------------------------------- *)
 
@@ -289,17 +261,8 @@ let durability () =
       let v = Crashtest.durability_test ~make:mk ~inserts:2_000 ~seed:3 () in
       Printf.printf "  %-18s violations=%-3d -> %s\n" name v
         (if v = 0 then "PASS" else "FAIL"))
-    [
-      ("P-CLHT", Harness.Subjects.clht);
-      ("P-HOT", Harness.Subjects.hot);
-      ("P-BwTree", Harness.Subjects.bwtree);
-      ("P-ART", Harness.Subjects.art);
-      ("P-Masstree", Harness.Subjects.masstree);
-      ("FAST&FAIR", fun () -> Harness.Subjects.fastfair ());
-      ("CCEH", fun () -> Harness.Subjects.cceh ());
-      ("Level", Harness.Subjects.levelhash);
-      ("FAST&FAIR(buggy)", fun () -> Harness.Subjects.fastfair ~bug_root_flush:true ());
-    ];
+    (List.map subject
+       (I.all @ [ Option.get (I.variant (entry Fastfair.name) "root-flush") ]));
   Report.note "paper: the buggy baselines fail to persist the initial root"
 
 (* --- E11: Tables 1 & 2 — the RECIPE taxonomy --------------------------------------------- *)
@@ -326,41 +289,22 @@ let micro () =
         (Staged.stage (fun () -> lookup keyspace.(Util.Rng.below rng preload)));
     ]
   in
-  let art = Art.create () in
-  Array.iter (fun k -> ignore (Art.insert art k 1)) keyspace;
-  let hot = Hot.create () in
-  Array.iter (fun k -> ignore (Hot.insert hot k 1)) keyspace;
-  let mt = Masstree.create () in
-  Array.iter (fun k -> ignore (Masstree.insert mt k 1)) keyspace;
-  let bw = Bwtree.create ~space:(Recipe.Wordkey.int_space ()) () in
-  Array.iter (fun k -> ignore (Bwtree.insert bw k 1)) keyspace;
-  let ff = Fastfair.create ~space:(Recipe.Wordkey.int_space ()) () in
-  Array.iter (fun k -> ignore (Fastfair.insert ff k 1)) keyspace;
-  let clht = Clht.create () in
-  Array.iter (fun k -> ignore (Clht.insert clht (Util.Keys.decode_int k) 1)) keyspace;
-  let tests =
-    List.concat
-      [
-        mk_pair "P-ART"
-          (fun k -> ignore (Art.insert art k 1))
-          (fun k -> ignore (Art.lookup art k));
-        mk_pair "P-HOT"
-          (fun k -> ignore (Hot.insert hot k 1))
-          (fun k -> ignore (Hot.lookup hot k));
-        mk_pair "P-Masstree"
-          (fun k -> ignore (Masstree.insert mt k 1))
-          (fun k -> ignore (Masstree.lookup mt k));
-        mk_pair "P-BwTree"
-          (fun k -> ignore (Bwtree.insert bw k 1))
-          (fun k -> ignore (Bwtree.lookup bw k));
-        mk_pair "FAST&FAIR"
-          (fun k -> ignore (Fastfair.insert ff k 1))
-          (fun k -> ignore (Fastfair.lookup ff k));
-        mk_pair "P-CLHT"
-          (fun k -> ignore (Clht.insert clht (Util.Keys.decode_int k) 1))
-          (fun k -> ignore (Clht.lookup clht (Util.Keys.decode_int k)));
-      ]
+  let pair e =
+    match e.I.family with
+    | I.Ordered make ->
+        let o = make (I.Ycsb Ycsb.Randint) in
+        Array.iter (fun k -> ignore (o.I.insert k 1)) keyspace;
+        mk_pair e.I.name
+          (fun k -> ignore (o.I.insert k 1))
+          (fun k -> ignore (o.I.lookup k))
+    | I.Hash make ->
+        let o = make (I.Ycsb Ycsb.Randint) and d = Util.Keys.decode_int in
+        Array.iter (fun k -> ignore (o.I.insert (d k) 1)) keyspace;
+        mk_pair e.I.name
+          (fun k -> ignore (o.I.insert (d k) 1))
+          (fun k -> ignore (o.I.lookup (d k)))
   in
+  let tests = List.concat_map pair I.all in
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.25) ~kde:None () in
   let raw =
     Benchmark.all cfg
@@ -625,9 +569,9 @@ let ablation cfg =
       [ false; true ];
     Recipe.Persist.set_naive false
   in
-  measure "P-CLHT" (fun p -> Harness.Drivers.clht p (Clht.create ()));
-  measure "P-ART" (fun p -> Harness.Drivers.art p (Art.create ()));
-  measure "P-Masstree" (fun p -> Harness.Drivers.masstree p (Masstree.create ()))
+  List.iter
+    (fun name -> measure name (I.driver (entry name)))
+    [ Clht.name; Art.name; Masstree.name ]
 
 (* --- E7: single-thread CLHT vs CCEH gap ------------------------------------------------------- *)
 
@@ -637,10 +581,7 @@ let single_thread_hash cfg =
     (fun (name, build) ->
       let r = run_cell { cfg with threads = 1 } Ycsb.Randint build Ycsb.Load_a in
       Printf.printf "  %-8s %8.3f Mops/s\n" name r.Ycsb.mops)
-    [
-      ("P-CLHT", fun p -> Harness.Drivers.clht p (Clht.create ()));
-      ("CCEH", fun p -> Harness.Drivers.cceh p (Cceh.create ()));
-    ];
+    (List.map (fun n -> driver (entry n)) [ Clht.name; Cceh.name ]);
   Report.note "paper: single-threaded P-CLHT is only ~12%% slower than CCEH"
 
 (* --- E14: extension — conversion overhead (DRAM vs PM builds) ------------------ *)
@@ -651,18 +592,7 @@ let single_thread_hash cfg =
 let conversion_overhead cfg =
   Report.section
     "Extension: conversion overhead — same index, persistence on vs off";
-  let indexes =
-    [
-      ("P-CLHT", fun p -> Harness.Drivers.clht p (Clht.create ()));
-      ("P-ART", fun p -> Harness.Drivers.art p (Art.create ()));
-      ("P-HOT", fun p -> Harness.Drivers.hot p (Hot.create ()));
-      ("P-Masstree", fun p -> Harness.Drivers.masstree p (Masstree.create ()));
-      ( "P-BwTree",
-        fun p ->
-          Harness.Drivers.bwtree p
-            (Bwtree.create ~space:(Recipe.Wordkey.int_space ()) ()) );
-    ]
-  in
+  let indexes = List.filter (fun e -> e.I.converted) I.all |> List.map driver in
   List.iter
     (fun (name, build) ->
       let measure dram =
@@ -697,32 +627,20 @@ let recovery_time cfg =
   Report.section
     "Extension (§2.4): PM index recovery vs rebuilding a DRAM index";
   let n = cfg.nloaded in
-  let cases =
-    [
-      ( "P-CLHT",
-        fun () ->
-          let t = Clht.create () in
-          let insert k = ignore (Clht.insert t k k) in
-          let recover () = Clht.recover t in
-          (insert, recover) );
-      ( "P-ART",
-        fun () ->
-          let t = Art.create () in
-          let insert k = ignore (Art.insert t (Util.Keys.encode_int k) k) in
-          let recover () = Art.recover t in
-          (insert, recover) );
-      ( "P-Masstree",
-        fun () ->
-          let t = Masstree.create () in
-          let insert k = ignore (Masstree.insert t (Util.Keys.encode_int k) k) in
-          let recover () = Masstree.recover t in
-          (insert, recover) );
-    ]
+  (* A fresh YCSB-sized instance's integer-keyed insert and its recover. *)
+  let instance e =
+    match e.I.family with
+    | I.Ordered make ->
+        let o = make (I.Ycsb Ycsb.Randint) in
+        ((fun k -> ignore (o.I.insert (Util.Keys.encode_int k) k)), o.I.recover)
+    | I.Hash make ->
+        let o = make (I.Ycsb Ycsb.Randint) in
+        ((fun k -> ignore (o.I.insert k k)), o.I.recover)
   in
   List.iter
-    (fun (name, mk) ->
+    (fun name ->
       reset_env ();
-      let insert, recover = mk () in
+      let insert, recover = instance (entry name) in
       (* Build once (this is the PM index's persistent state). *)
       let t0 = Unix.gettimeofday () in
       for k = 1 to n do
@@ -739,7 +657,7 @@ let recovery_time cfg =
         "  %-12s %d keys: DRAM rebuild %8.3f ms   PM recovery %8.4f ms  (%.0fx)\n"
         name n (build_s *. 1e3) (recover_s *. 1e3)
         (build_s /. Float.max recover_s 1e-9))
-    cases;
+    [ Clht.name; Art.name; Masstree.name ];
   Report.note "paper §2.4: a PM index is instantly available after restart"
 
 (* --- E16: extension — Zipfian skew on the hash indexes --------------------------- *)
@@ -776,15 +694,8 @@ let zipfian cfg =
 let latency cfg =
   Report.section "Extension: per-operation latency percentiles (workload A)";
   let indexes =
-    [
-      ("P-CLHT", fun p -> Harness.Drivers.clht p (Clht.create ()));
-      ("P-ART", fun p -> Harness.Drivers.art p (Art.create ()));
-      ( "FAST&FAIR",
-        fun p ->
-          Harness.Drivers.fastfair p
-            (Fastfair.create ~space:(Recipe.Wordkey.int_space ()) ()) );
-      ("P-Masstree", fun p -> Harness.Drivers.masstree p (Masstree.create ()));
-    ]
+    List.map (fun n -> driver (entry n))
+      [ Clht.name; Art.name; Fastfair.name; Masstree.name ]
   in
   List.iter
     (fun (name, build) ->

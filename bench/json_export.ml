@@ -12,26 +12,6 @@
 module J = Obs.Json
 module H = Util.Histogram
 
-(* Every index of the reproduction.  [ordered] doubles as scan support:
-   workload E runs only on the ordered (tree) indexes. *)
-let indexes =
-  let space () = Recipe.Wordkey.int_space () in
-  [
-    ("P-ART", true, fun p -> Harness.Drivers.art p (Art.create ()));
-    ("P-HOT", true, fun p -> Harness.Drivers.hot p (Hot.create ()));
-    ("P-Masstree", true, fun p -> Harness.Drivers.masstree p (Masstree.create ()));
-    ( "P-BwTree",
-      true,
-      fun p -> Harness.Drivers.bwtree p (Bwtree.create ~space:(space ()) ()) );
-    ( "FAST&FAIR",
-      true,
-      fun p -> Harness.Drivers.fastfair p (Fastfair.create ~space:(space ()) ()) );
-    ("WOART", true, fun p -> Harness.Drivers.woart p (Woart.create ()));
-    ("P-CLHT", false, fun p -> Harness.Drivers.clht p (Clht.create ()));
-    ("CCEH", false, fun p -> Harness.Drivers.cceh p (Cceh.create ()));
-    ("Level", false, fun p -> Harness.Drivers.levelhash p (Levelhash.create ()));
-  ]
-
 let hist_json = function
   | Some h when H.count h > 0 ->
       J.Obj
@@ -137,7 +117,11 @@ let site_attribution cfg build =
              shown) );
     ]
 
-let index_json cfg (name, ordered, build) =
+(* One section per index of {!Harness.Index.all}.  [ordered] doubles as scan
+   support: workload E runs only on the ordered (tree) indexes. *)
+let index_json cfg entry =
+  let name = entry.Harness.Index.name and ordered = Harness.Index.ordered entry in
+  let build = Harness.Index.driver entry in
   Printf.printf "json: measuring %s...\n%!" name;
   let workloads =
     if ordered then Ycsb.all_workloads
@@ -199,22 +183,10 @@ let recovery_json ~smoke () =
   Printf.printf "json: measuring recovery...\n%!";
   let states = if smoke then 5 else 20
   and load = if smoke then 150 else 600 in
-  let subjects =
-    [
-      ("P-ART", Harness.Subjects.art);
-      ("P-HOT", Harness.Subjects.hot);
-      ("P-Masstree", Harness.Subjects.masstree);
-      ("P-BwTree", Harness.Subjects.bwtree);
-      ("FAST&FAIR", fun () -> Harness.Subjects.fastfair ());
-      ("WOART", Harness.Subjects.woart);
-      ("P-CLHT", Harness.Subjects.clht);
-      ("CCEH", fun () -> Harness.Subjects.cceh ());
-      ("Level", Harness.Subjects.levelhash);
-    ]
-  in
   J.Obj
     (List.map
-       (fun (name, make) ->
+       (fun entry ->
+         let make = Harness.Index.subject entry in
          let r =
            Crashtest.recovery_under_load_campaign ~make ~states ~load
              ~ops:load ~threads:4 ~seed:7 ~faults:true
@@ -222,7 +194,7 @@ let recovery_json ~smoke () =
          in
          let b = r.Crashtest.base and s = r.Crashtest.sweep_stats in
          let recoveries = max 1 r.Crashtest.recoveries in
-         ( name,
+         ( entry.Harness.Index.name,
            J.Obj
              [
                ("states", J.int b.Crashtest.states_tested);
@@ -239,7 +211,7 @@ let recovery_json ~smoke () =
                ("wrong", J.int b.Crashtest.wrong_values);
                ("stalled", J.int b.Crashtest.stalled);
              ] ))
-       subjects)
+       Harness.Index.all)
 
 (* Batched-durability table: the KV service layer (lib/kvserve) over the
    standard grid — shard counts × {per_op, epoch} — driven with
@@ -256,7 +228,8 @@ let serve_json ~smoke () =
   and warmup_requests = if smoke then 10 else 50 in
   Experiments.reset_env ();
   Kvserve.Servebench.rows_json
-    (Kvserve.Servebench.run_grid ~make:Harness.Kvparts.art
+    (Kvserve.Servebench.run_grid
+       ~make:(Harness.Index.partition Harness.Index.art)
        ~shard_counts:[ 2; 4 ] ~batch:32 ~workers:4 ~requests ~warmup_requests
        ~ops_per_request:16 ~write_pct:100 ~key_space:64 ~seed:42 ())
 
@@ -273,7 +246,8 @@ let txn_json ~smoke () =
   and warmup_requests = if smoke then 8 else 50 in
   Experiments.reset_env ();
   Kvserve.Servebench.txn_rows_json
-    (Kvserve.Servebench.run_txn_grid ~make:Harness.Kvparts.art ~shards:2
+    (Kvserve.Servebench.run_txn_grid
+       ~make:(Harness.Index.partition Harness.Index.art) ~shards:2
        ~batch:32 ~txn_ops_list:[ 1; 4; 16 ] ~workers:2 ~requests
        ~warmup_requests ~seed:42 ())
 
@@ -299,7 +273,7 @@ let write cfg ~smoke file =
         ("recovery", recovery_json ~smoke ());
         ("serve", serve_json ~smoke ());
         ("txn", txn_json ~smoke ());
-        ("indexes", J.List (List.map (index_json cfg) indexes));
+        ("indexes", J.List (List.map (index_json cfg) Harness.Index.all));
       ]
   in
   let oc = open_out file in

@@ -6,28 +6,6 @@
 
 open Cmdliner
 
-let subject name bug =
-  match (String.lowercase_ascii name, bug) with
-  | ("p-clht" | "clht"), _ -> Some Harness.Subjects.clht
-  | ("p-hot" | "hot"), _ -> Some Harness.Subjects.hot
-  | ("p-art" | "art"), _ -> Some Harness.Subjects.art
-  | ("p-masstree" | "masstree"), _ -> Some Harness.Subjects.masstree
-  | ("p-bwtree" | "bwtree"), _ -> Some Harness.Subjects.bwtree
-  | ("woart" | "w"), _ -> Some Harness.Subjects.woart
-  | ("level" | "levelhash"), _ -> Some Harness.Subjects.levelhash
-  | ("fast&fair" | "fastfair" | "ff"), Some "highkey" ->
-      Some (fun () -> Harness.Subjects.fastfair ~bug_highkey:true ())
-  | ("fast&fair" | "fastfair" | "ff"), Some "split-order" ->
-      Some (fun () -> Harness.Subjects.fastfair ~bug_split_order:true ())
-  | ("fast&fair" | "fastfair" | "ff"), Some "root-flush" ->
-      Some (fun () -> Harness.Subjects.fastfair ~bug_root_flush:true ())
-  | ("fast&fair" | "fastfair" | "ff"), _ ->
-      Some (fun () -> Harness.Subjects.fastfair ())
-  | "cceh", Some "doubling" ->
-      Some (fun () -> Harness.Subjects.cceh ~bug_doubling:true ())
-  | "cceh", _ -> Some (fun () -> Harness.Subjects.cceh ())
-  | _ -> None
-
 (* Crash-point coverage over the campaign just run: for every index whose
    declared crash sites were reached while armed, how many of them actually
    had a crash injected (and which never fired).  Sites register at module
@@ -64,11 +42,12 @@ let dump_trace () =
   List.iter (fun e -> Format.printf "  %a@." Obs.Trace.pp_event e) recent
 
 let main index bug states sweep faults load seed trace =
-  match subject index bug with
-  | None ->
-      Printf.eprintf "unknown index %S (or bad --bug for it)\n" index;
+  match Harness.Index.resolve index bug with
+  | Error msg ->
+      prerr_endline msg;
       1
-  | Some make ->
+  | Ok entry ->
+      let make = Harness.Index.subject entry in
       if trace then Obs.Trace.set_enabled true;
       let bad =
         if sweep then begin

@@ -30,11 +30,11 @@ let parse_shards s =
 let main index shards_s batch workers requests opr write_pct key_space seed
     txn_ops_s json trace_out =
   match
-    (Harness.Kvparts.find index, parse_shards shards_s, parse_shards txn_ops_s)
+    (Harness.Index.find index, parse_shards shards_s, parse_shards txn_ops_s)
   with
   | None, _, _ ->
       Printf.eprintf "unknown index %S (one of: %s)\n" index
-        (String.concat " " (List.map fst Harness.Kvparts.all));
+        (Harness.Index.names ());
       1
   | _, None, _ ->
       Printf.eprintf "bad --shards %S (comma-separated positive ints)\n"
@@ -44,7 +44,8 @@ let main index shards_s batch workers requests opr write_pct key_space seed
       Printf.eprintf "bad --txn-ops %S (comma-separated positive ints)\n"
         txn_ops_s;
       1
-  | Some make, Some shard_counts, Some txn_ops_list ->
+  | Some entry, Some shard_counts, Some txn_ops_list ->
+      let make = Harness.Index.partition entry in
       Printf.printf
         "kv_bench: %s, %d worker(s) x %d request(s) x %d op(s), %d%% writes \
          over %d keys, seed %d\n"

@@ -160,11 +160,12 @@ let smoke_client port scan_supported errors () =
 
 let main index shards batch queue_cap mode_sel host port max_conns smoke
     trace_out =
-  match Harness.Kvparts.find index with
+  match Harness.Index.find index with
   | None ->
-      Printf.eprintf "unknown index %S (see bin/kv_bench.exe --help)\n" index;
+      Printf.eprintf "unknown index %S (one of: %s)\n" index
+        (Harness.Index.names ());
       1
-  | Some make ->
+  | Some entry ->
       let mode =
         match mode_sel with
         | `Per_op -> Server.Per_op
@@ -173,7 +174,9 @@ let main index shards batch queue_cap mode_sel host port max_conns smoke
       let cfg =
         { Server.shards; batch; queue_cap = max queue_cap batch; mode }
       in
-      let parts = Array.init cfg.Server.shards (fun _ -> make ()) in
+      let parts =
+        Array.init cfg.Server.shards (fun _ -> Harness.Index.partition entry ())
+      in
       let scan_supported = parts.(0).Server.p_scan <> None in
       if trace_out <> None then begin
         Obs.Span.set_enabled true;

@@ -142,100 +142,98 @@ let query_mode host port =
 (* Loopback self-test: everything kv_server's smoke does for the data path,
    for the stats path — real TCP, real codec, assertions on the snapshot. *)
 let smoke_mode () =
-  match Harness.Kvparts.find "art" with
-  | None ->
-      prerr_endline "kv_stats smoke: art partition builder missing";
-      1
-  | Some make ->
-      Obs.Span.set_enabled true;
-      let cfg = { Server.default_config with shards = 2; batch = 8 } in
-      let parts = Array.init cfg.Server.shards (fun _ -> make ()) in
-      let srv = Server.start cfg parts in
-      let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-      Unix.setsockopt sock Unix.SO_REUSEADDR true;
-      Unix.bind sock (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
-      Unix.listen sock 4;
-      let port =
-        match Unix.getsockname sock with
-        | Unix.ADDR_INET (_, p) -> p
-        | _ -> assert false
-      in
-      let server_thread =
-        Thread.create
-          (fun () ->
-            let fd, _ = Unix.accept sock in
-            let conn = Server.Conn.create srv in
-            let buf = Bytes.create 4096 in
-            let rec loop () =
-              match Unix.read fd buf 0 (Bytes.length buf) with
-              | 0 -> ()
-              | n ->
-                  let out = Server.Conn.feed conn (Bytes.sub_string buf 0 n) in
-                  if String.length out > 0 then write_all fd out;
-                  if not (Server.Conn.broken conn) then loop ()
-              | exception Unix.Unix_error _ -> ()
-            in
-            (try loop () with _ -> ());
-            try Unix.close fd with Unix.Unix_error _ -> ())
-          ()
-      in
-      let errors = ref 0 in
-      let check what cond =
-        if not cond then begin
-          incr errors;
-          Printf.eprintf "kv_stats smoke: FAIL %s\n%!" what
-        end
-      in
-      (try
-         let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-         Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-         let pend = Buffer.create 256 in
-         let nput = 100 in
-         let puts =
-           List.init nput (fun i -> Wire.Put (Util.Keys.encode_int i, i))
-         in
-         write_all fd (Wire.request_string { Wire.rid = 1; ops = puts });
-         let r = read_response fd pend in
-         check "puts acked" (r.Wire.status = Wire.Ok);
-         let fields = query fd pend 2 in
-         let f = fv fields in
-         check "shards reported" (f "shards" = cfg.Server.shards);
-         check "acked ops counted" (f "ops_acked" >= nput);
-         check "server healthy" (f "crashed" = 0);
-         check "queues drained"
-           (f "shard.0.queue_depth" = 0 && f "shard.1.queue_depth" = 0);
-         check "ack percentiles ordered" (f "ack_ns.p50" <= f "ack_ns.p99");
-         check "spans populate phase hists"
-           (f "shard.0.ack_ns.count" + f "shard.1.ack_ns.count" >= nput);
-         check "fence phase sampled"
-           (f "shard.0.fence_ns.count" + f "shard.1.fence_ns.count" >= nput);
-         (* default_config serves in epoch mode: the snapshot must carry the
-            epoch story — mode tag, at least one advance behind the acks,
-            the epoch_wait phase sampled, and nothing left parked once every
-            submit has returned. *)
-         check "epoch mode reported" (f "persist_mode" = 2);
-         check "epoch advances counted" (f "epochs" >= 1);
-         check "epoch_wait phase sampled"
-           (f "shard.0.epoch_wait_ns.count" + f "shard.1.epoch_wait_ns.count"
-           >= nput);
-         check "no acks parked after drain"
-           (f "shard.0.pending_acks" = 0 && f "shard.1.pending_acks" = 0);
-         check "epoch ops accounted"
-           (f "shard.0.epoch_ops.count" + f "shard.1.epoch_ops.count" >= 1);
-         render fields;
-         Unix.close fd
-       with e ->
-         incr errors;
-         Printf.eprintf "kv_stats smoke: FAIL %s\n%!" (Printexc.to_string e));
-      Thread.join server_thread;
-      Unix.close sock;
-      Server.stop srv;
-      Obs.Span.set_enabled false;
-      if !errors = 0 then begin
-        print_endline "kv_stats smoke: ok";
-        0
-      end
-      else 1
+  Obs.Span.set_enabled true;
+  let cfg = { Server.default_config with shards = 2; batch = 8 } in
+  let parts =
+    Array.init cfg.Server.shards (fun _ ->
+        Harness.Index.partition Harness.Index.art ())
+  in
+  let srv = Server.start cfg parts in
+  let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.setsockopt sock Unix.SO_REUSEADDR true;
+  Unix.bind sock (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  Unix.listen sock 4;
+  let port =
+    match Unix.getsockname sock with
+    | Unix.ADDR_INET (_, p) -> p
+    | _ -> assert false
+  in
+  let server_thread =
+    Thread.create
+      (fun () ->
+        let fd, _ = Unix.accept sock in
+        let conn = Server.Conn.create srv in
+        let buf = Bytes.create 4096 in
+        let rec loop () =
+          match Unix.read fd buf 0 (Bytes.length buf) with
+          | 0 -> ()
+          | n ->
+              let out = Server.Conn.feed conn (Bytes.sub_string buf 0 n) in
+              if String.length out > 0 then write_all fd out;
+              if not (Server.Conn.broken conn) then loop ()
+          | exception Unix.Unix_error _ -> ()
+        in
+        (try loop () with _ -> ());
+        try Unix.close fd with Unix.Unix_error _ -> ())
+      ()
+  in
+  let errors = ref 0 in
+  let check what cond =
+    if not cond then begin
+      incr errors;
+      Printf.eprintf "kv_stats smoke: FAIL %s\n%!" what
+    end
+  in
+  (try
+     let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+     Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+     let pend = Buffer.create 256 in
+     let nput = 100 in
+     let puts =
+       List.init nput (fun i -> Wire.Put (Util.Keys.encode_int i, i))
+     in
+     write_all fd (Wire.request_string { Wire.rid = 1; ops = puts });
+     let r = read_response fd pend in
+     check "puts acked" (r.Wire.status = Wire.Ok);
+     let fields = query fd pend 2 in
+     let f = fv fields in
+     check "shards reported" (f "shards" = cfg.Server.shards);
+     check "acked ops counted" (f "ops_acked" >= nput);
+     check "server healthy" (f "crashed" = 0);
+     check "queues drained"
+       (f "shard.0.queue_depth" = 0 && f "shard.1.queue_depth" = 0);
+     check "ack percentiles ordered" (f "ack_ns.p50" <= f "ack_ns.p99");
+     check "spans populate phase hists"
+       (f "shard.0.ack_ns.count" + f "shard.1.ack_ns.count" >= nput);
+     check "fence phase sampled"
+       (f "shard.0.fence_ns.count" + f "shard.1.fence_ns.count" >= nput);
+     (* default_config serves in epoch mode: the snapshot must carry the
+        epoch story — mode tag, at least one advance behind the acks,
+        the epoch_wait phase sampled, and nothing left parked once every
+        submit has returned. *)
+     check "epoch mode reported" (f "persist_mode" = 2);
+     check "epoch advances counted" (f "epochs" >= 1);
+     check "epoch_wait phase sampled"
+       (f "shard.0.epoch_wait_ns.count" + f "shard.1.epoch_wait_ns.count"
+       >= nput);
+     check "no acks parked after drain"
+       (f "shard.0.pending_acks" = 0 && f "shard.1.pending_acks" = 0);
+     check "epoch ops accounted"
+       (f "shard.0.epoch_ops.count" + f "shard.1.epoch_ops.count" >= 1);
+     render fields;
+     Unix.close fd
+   with e ->
+     incr errors;
+     Printf.eprintf "kv_stats smoke: FAIL %s\n%!" (Printexc.to_string e));
+  Thread.join server_thread;
+  Unix.close sock;
+  Server.stop srv;
+  Obs.Span.set_enabled false;
+  if !errors = 0 then begin
+    print_endline "kv_stats smoke: ok";
+    0
+  end
+  else 1
 
 let main host port smoke = if smoke then smoke_mode () else query_mode host port
 

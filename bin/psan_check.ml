@@ -11,28 +11,6 @@
 
 open Cmdliner
 
-let subject name bug =
-  match (String.lowercase_ascii name, bug) with
-  | ("p-clht" | "clht"), _ -> Some Harness.Subjects.clht
-  | ("p-hot" | "hot"), _ -> Some Harness.Subjects.hot
-  | ("p-art" | "art"), _ -> Some Harness.Subjects.art
-  | ("p-masstree" | "masstree"), _ -> Some Harness.Subjects.masstree
-  | ("p-bwtree" | "bwtree"), _ -> Some Harness.Subjects.bwtree
-  | ("woart" | "w"), _ -> Some Harness.Subjects.woart
-  | ("level" | "levelhash"), _ -> Some Harness.Subjects.levelhash
-  | ("fast&fair" | "fastfair" | "ff"), Some "highkey" ->
-      Some (fun () -> Harness.Subjects.fastfair ~bug_highkey:true ())
-  | ("fast&fair" | "fastfair" | "ff"), Some "split-order" ->
-      Some (fun () -> Harness.Subjects.fastfair ~bug_split_order:true ())
-  | ("fast&fair" | "fastfair" | "ff"), Some "root-flush" ->
-      Some (fun () -> Harness.Subjects.fastfair ~bug_root_flush:true ())
-  | ("fast&fair" | "fastfair" | "ff"), _ ->
-      Some (fun () -> Harness.Subjects.fastfair ())
-  | "cceh", Some "doubling" ->
-      Some (fun () -> Harness.Subjects.cceh ~bug_doubling:true ())
-  | "cceh", _ -> Some (fun () -> Harness.Subjects.cceh ())
-  | _ -> None
-
 (* Insert/lookup/recover workload, [ops] keys split over [threads] domains
    on disjoint ranges.  Every substrate event runs under the sanitizer; the
    recovery pass exercises the post-crash read paths too. *)
@@ -65,11 +43,12 @@ let drive make ~ops ~threads ~races =
   s.Crashtest.sname
 
 let main index bug ops threads no_races =
-  match subject index bug with
-  | None ->
-      Printf.eprintf "unknown index %S (or bad --bug for it)\n" index;
+  match Harness.Index.resolve index bug with
+  | Error msg ->
+      prerr_endline msg;
       1
-  | Some make ->
+  | Ok entry ->
+      let make = Harness.Index.subject entry in
       (* Bug reproductions default to one domain: the pending-set check is
          per-domain, so the unflushed-allocation bugs are only exposed when
          the allocating domain itself publishes — exactly the deterministic

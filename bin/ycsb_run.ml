@@ -2,117 +2,80 @@
 
      dune exec bin/ycsb_run.exe -- --index P-ART --workload a --keys 100000
 
-   Indexes: P-ART P-HOT P-Masstree P-BwTree P-CLHT FAST&FAIR WOART CCEH Level *)
+   [--index] takes any name or alias of {!Harness.Index.all},
+   case-insensitively. *)
 
 open Cmdliner
-
-let build_driver p name kind =
-  let space () =
-    match kind with
-    | Ycsb.Randint -> Recipe.Wordkey.int_space ()
-    | Ycsb.Strkey -> Recipe.Wordkey.string_space ()
-  in
-  match String.lowercase_ascii name with
-  | "p-art" | "art" -> Some (Harness.Drivers.art p (Art.create ()))
-  | "p-hot" | "hot" -> Some (Harness.Drivers.hot p (Hot.create ()))
-  | "p-masstree" | "masstree" ->
-      Some (Harness.Drivers.masstree p (Masstree.create ()))
-  | "p-bwtree" | "bwtree" ->
-      Some (Harness.Drivers.bwtree p (Bwtree.create ~space:(space ()) ()))
-  | "fast&fair" | "fastfair" | "ff" ->
-      Some (Harness.Drivers.fastfair p (Fastfair.create ~space:(space ()) ()))
-  | "woart" -> Some (Harness.Drivers.woart p (Woart.create ()))
-  | "p-clht" | "clht" -> Some (Harness.Drivers.clht p (Clht.create ()))
-  | "cceh" -> Some (Harness.Drivers.cceh p (Cceh.create ()))
-  | "level" | "levelhash" ->
-      Some (Harness.Drivers.levelhash p (Levelhash.create ()))
-  | _ -> None
 
 (* [--shards N]: route every operation through the sharded KV service
    instead of calling the index directly — each YCSB thread becomes a
    closed-loop client of the epoch-persist router, so concurrent clients'
    writes coalesce into shared epoch fences.  Returns the server so the
    caller can stop it after the measurement. *)
-let kvparts_name name =
-  match String.lowercase_ascii name with
-  | "fast&fair" | "ff" -> "fastfair"
-  | "level" -> "levelhash"
-  | n ->
-      if String.length n > 2 && String.sub n 0 2 = "p-" then
-        String.sub n 2 (String.length n - 2)
-      else n
-
-let build_served_driver p name ~shards ~batch =
-  match Harness.Kvparts.find (kvparts_name name) with
-  | None -> None
-  | Some make ->
-      let parts = Array.init shards (fun _ -> make ()) in
-      let cfg =
-        {
-          Kvserve.Server.shards;
-          batch;
-          queue_cap = max 256 batch;
-          mode =
-            (if batch > 1 then Kvserve.Server.default_config.mode
-             else Kvserve.Server.Per_op);
-        }
-      in
-      let srv = Kvserve.Server.start cfg parts in
-      let submit1 i op =
-        let resp = Kvserve.Server.submit srv { Kvserve.Wire.rid = i; ops = [ op ] } in
-        match (resp.Kvserve.Wire.status, resp.Kvserve.Wire.replies) with
-        | Kvserve.Wire.Ok, [ r ] -> Some r
-        | _ -> None
-      in
-      let scan =
-        if parts.(0).Kvserve.Server.p_scan = None then None
-        else
-          Some
-            (fun i len ->
-              match submit1 i (Kvserve.Wire.Scan (Ycsb.key_string p i, len)) with
-              | Some (Kvserve.Wire.Scanned items) -> List.length items
-              | _ -> 0)
-      in
+let build_served_driver p entry ~shards ~batch =
+  let parts = Array.init shards (fun _ -> Harness.Index.partition entry ()) in
+  let cfg =
+    {
+      Kvserve.Server.shards;
+      batch;
+      queue_cap = max 256 batch;
+      mode =
+        (if batch > 1 then Kvserve.Server.default_config.mode
+         else Kvserve.Server.Per_op);
+    }
+  in
+  let srv = Kvserve.Server.start cfg parts in
+  let submit1 i op =
+    let resp = Kvserve.Server.submit srv { Kvserve.Wire.rid = i; ops = [ op ] } in
+    match (resp.Kvserve.Wire.status, resp.Kvserve.Wire.replies) with
+    | Kvserve.Wire.Ok, [ r ] -> Some r
+    | _ -> None
+  in
+  let scan =
+    if parts.(0).Kvserve.Server.p_scan = None then None
+    else
       Some
-        ( srv,
-          {
-            Ycsb.dname = Printf.sprintf "%s/serve(%dx%d)" name shards batch;
-            insert =
-              (fun i ->
-                ignore
-                  (submit1 i
-                     (Kvserve.Wire.Put (Ycsb.key_string p i, i))));
-            read =
-              (fun i ->
-                match submit1 i (Kvserve.Wire.Get (Ycsb.key_string p i)) with
-                | Some (Kvserve.Wire.Found _) -> true
-                | _ -> false);
-            scan;
-          } )
+        (fun i len ->
+          match submit1 i (Kvserve.Wire.Scan (Ycsb.key_string p i, len)) with
+          | Some (Kvserve.Wire.Scanned items) -> List.length items
+          | _ -> 0)
+  in
+  ( srv,
+    {
+      Ycsb.dname =
+        Printf.sprintf "%s/serve(%dx%d)" entry.Harness.Index.name shards batch;
+      insert =
+        (fun i -> ignore (submit1 i (Kvserve.Wire.Put (Ycsb.key_string p i, i))));
+      read =
+        (fun i ->
+          match submit1 i (Kvserve.Wire.Get (Ycsb.key_string p i)) with
+          | Some (Kvserve.Wire.Found _) -> true
+          | _ -> false);
+      scan;
+    } )
 
 let main index workload keys ops threads strkeys seed shards batch sanitize
     trace_out =
-  match Ycsb.workload_of_string workload with
-  | None ->
+  match (Ycsb.workload_of_string workload, Harness.Index.find index) with
+  | None, _ ->
       Printf.eprintf "unknown workload %S (loada|a|b|c|e)\n" workload;
       1
-  | Some w -> (
+  | _, None ->
+      Printf.eprintf "unknown index %S (one of: %s)\n" index
+        (Harness.Index.names ());
+      1
+  | Some w, Some entry -> (
       let kind = if strkeys then Ycsb.Strkey else Ycsb.Randint in
       let p =
         Ycsb.prepare ~workload:w ~kind ~nloaded:keys ~nops:ops ~threads ~seed ()
       in
-      let built =
+      match
         if shards > 0 then
-          Option.map
-            (fun (srv, d) -> (Some srv, d))
-            (build_served_driver p index ~shards ~batch)
-        else Option.map (fun d -> (None, d)) (build_driver p index kind)
-      in
-      match built with
-      | None ->
-          Printf.eprintf "unknown index %S\n" index;
-          1
-      | Some (srv, d) ->
+          let srv, d = build_served_driver p entry ~shards ~batch in
+          (Some srv, d)
+        else (None, Harness.Index.driver entry p)
+      with
+      | srv, d ->
           if trace_out <> None then begin
             Obs.Span.set_enabled true;
             Obs.Trace.set_enabled true

@@ -5,19 +5,24 @@
 
      dune exec examples/crash_demo.exe *)
 
-let run name make =
+module I = Harness.Index
+
+let index name = Option.get (I.find name)
+let buggy name bug = Option.get (I.variant (index name) bug)
+
+let run e =
   let r =
-    Crashtest.consistency_campaign ~make ~states:30 ~load:400 ~ops:400
-      ~threads:4 ~seed:2024 ()
+    Crashtest.consistency_campaign ~make:(I.subject e) ~states:30 ~load:400
+      ~ops:400 ~threads:4 ~seed:2024 ()
   in
-  Format.printf "%-18s %a@." name Crashtest.pp_report r;
+  Format.printf "%-18s %a@." e.I.name Crashtest.pp_report r;
   r
 
 let () =
   print_endline "consistency campaigns (30 crash states each):";
-  let art = run "P-ART" Harness.Subjects.art in
-  let clht = run "P-CLHT" Harness.Subjects.clht in
-  let ff_ok = run "FAST&FAIR (fixed)" (fun () -> Harness.Subjects.fastfair ()) in
+  let art = run I.art in
+  let clht = run (index "clht") in
+  let ff_ok = run (index "fastfair") in
   assert (art.Crashtest.lost_keys = 0 && clht.Crashtest.lost_keys = 0);
   assert (ff_ok.Crashtest.lost_keys = 0);
 
@@ -26,33 +31,29 @@ let () =
      store"). *)
   print_endline "";
   print_endline "deterministic crash-point sweeps against the buggy variants:";
-  let sweep name make =
-    let r = Crashtest.sweep ~make ~points:20_000 ~stride:1 ~load:3_000 () in
-    Format.printf "%-18s %a@." name Crashtest.pp_report r;
+  let sweep e =
+    let r =
+      Crashtest.sweep ~make:(I.subject e) ~points:20_000 ~stride:1 ~load:3_000 ()
+    in
+    Format.printf "%-18s %a@." e.I.name Crashtest.pp_report r;
     r
   in
-  let ff_bug =
-    sweep "FAST&FAIR (buggy)" (fun () ->
-        Harness.Subjects.fastfair ~bug_split_order:true ())
-  in
-  let cceh_bug =
-    sweep "CCEH (buggy)" (fun () -> Harness.Subjects.cceh ~bug_doubling:true ())
-  in
+  let ff_bug = sweep (buggy "fastfair" "split-order") in
+  let cceh_bug = sweep (buggy "cceh" "doubling") in
   assert (ff_bug.Crashtest.lost_keys > 0);
   assert (cceh_bug.Crashtest.stalled > 0);
 
   print_endline "";
   print_endline "durability checks (every dirtied line flushed per op):";
-  let dur name make =
-    let v = Crashtest.durability_test ~make ~inserts:500 ~seed:1 () in
-    Printf.printf "%-18s violations=%d -> %s\n" name v
+  let dur e =
+    let v =
+      Crashtest.durability_test ~make:(I.subject e) ~inserts:500 ~seed:1 ()
+    in
+    Printf.printf "%-18s violations=%d -> %s\n" e.I.name v
       (if v = 0 then "PASS" else "FAIL")
   in
-  dur "P-ART" Harness.Subjects.art;
-  dur "P-Masstree" Harness.Subjects.masstree;
-  dur "FAST&FAIR (fixed)" (fun () -> Harness.Subjects.fastfair ());
-  dur "FAST&FAIR (buggy)" (fun () ->
-      Harness.Subjects.fastfair ~bug_root_flush:true ());
+  List.iter dur
+    [ I.art; index "masstree"; index "fastfair"; buggy "fastfair" "root-flush" ];
   print_endline "";
   print_endline
     "RECIPE-converted indexes pass; the baselines' §3 bugs are caught."

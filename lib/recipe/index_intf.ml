@@ -18,8 +18,8 @@ module type ORDERED = sig
   val create : unit -> t
 
   (** [insert t key value] binds [key].  Returns [false] if the key was
-      already present (in which case the value is updated in place, like the
-      paper's indexes that "use insert for both insertions and updates"). *)
+      already present, leaving its value unchanged; indexes that can
+      overwrite a binding expose a separate [update]. *)
   val insert : t -> string -> int -> bool
 
   (** [lookup t key] returns the latest value bound to [key]. *)

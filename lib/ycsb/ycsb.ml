@@ -123,6 +123,7 @@ type result = {
 }
 
 let nloaded p = p.n_loaded
+let kind p = p.kind
 let key_string p i = p.str_keys.(i)
 let key_int p i = p.int_keys.(i)
 

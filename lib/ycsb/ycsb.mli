@@ -49,6 +49,9 @@ val prepare :
 
 val nloaded : prepared -> int
 
+(** The key kind the workload was prepared with. *)
+val kind : prepared -> key_kind
+
 (** Encoded key for universe index [i] (8-byte big-endian or 24-byte YCSB
     string depending on the key kind). *)
 val key_string : prepared -> int -> string

@@ -2,6 +2,11 @@
    consistency and durability campaigns; the buggy baseline variants are
    caught. *)
 
+module I = Harness.Index
+
+let buggy name bug =
+  I.subject (Option.get (I.variant (Option.get (I.find name)) bug))
+
 let campaign mk ~states =
   Crashtest.consistency_campaign ~make:mk ~states ~load:400 ~ops:400 ~threads:4
     ~seed:11 ()
@@ -16,24 +21,20 @@ let check_passes name mk =
   Alcotest.(check bool) (name ^ ": some crashes fired") true
     (r.Crashtest.crashes_fired > 0)
 
-let test_converted_pass () =
-  check_passes "P-CLHT" Harness.Subjects.clht;
-  check_passes "P-HOT" Harness.Subjects.hot;
-  check_passes "P-ART" Harness.Subjects.art;
-  check_passes "P-Masstree" Harness.Subjects.masstree;
-  check_passes "P-BwTree" Harness.Subjects.bwtree
+let check_all keep =
+  List.iter
+    (fun e -> if keep e then check_passes e.I.name (I.subject e))
+    I.all
 
-let test_correct_baselines_pass () =
-  check_passes "FAST&FAIR(fixed)" (fun () -> Harness.Subjects.fastfair ());
-  check_passes "CCEH(fixed)" (fun () -> Harness.Subjects.cceh ());
-  check_passes "Level" Harness.Subjects.levelhash;
-  check_passes "WOART" Harness.Subjects.woart
+let test_converted_pass () = check_all (fun e -> e.I.converted)
+
+(* The baselines with their seeded bugs off. *)
+let test_correct_baselines_pass () = check_all (fun e -> not e.I.converted)
 
 (* The buggy FAST & FAIR split order loses committed keys in some state. *)
 let test_fastfair_bug_caught () =
   let r =
-    campaign (fun () -> Harness.Subjects.fastfair ~bug_split_order:true ())
-      ~states:60
+    campaign (buggy Fastfair.name "split-order") ~states:60
   in
   Alcotest.(check bool) "data loss detected" true (r.Crashtest.lost_keys > 0)
 
@@ -52,7 +53,7 @@ let test_cceh_bug_caught () =
     else
       let r =
         Crashtest.consistency_campaign
-          ~make:(fun () -> Harness.Subjects.cceh ~bug_doubling:true ())
+          ~make:(buggy Cceh.name "doubling")
           ~states:12 ~load:400 ~ops:400 ~threads:4 ~seed ()
       in
       if r.Crashtest.stalled > 0 then seed else search (seed + 1)
@@ -68,47 +69,34 @@ let test_cceh_bug_caught () =
    ordered-scan verification included. *)
 let test_double_crash_converted () =
   List.iter
-    (fun (name, mk) ->
+    (fun e ->
       let r =
-        Crashtest.double_crash_campaign ~make:mk ~states:25 ~load:400 ~seed:5 ()
+        Crashtest.double_crash_campaign ~make:(I.subject e) ~states:25 ~load:400
+          ~seed:5 ()
       in
       if
         r.Crashtest.lost_keys <> 0 || r.Crashtest.wrong_values <> 0
         || r.Crashtest.stalled <> 0
       then
-        Alcotest.failf "%s failed double-crash: %s" name
+        Alcotest.failf "%s failed double-crash: %s" e.I.name
           (Format.asprintf "%a" Crashtest.pp_report r))
-    [
-      ("P-CLHT", Harness.Subjects.clht);
-      ("P-HOT", Harness.Subjects.hot);
-      ("P-ART", Harness.Subjects.art);
-      ("P-Masstree", Harness.Subjects.masstree);
-      ("P-BwTree", Harness.Subjects.bwtree);
-      ("FAST&FAIR", fun () -> Harness.Subjects.fastfair ());
-    ]
+    (List.filter (fun e -> e.I.converted || e.I.name = Fastfair.name) I.all)
 
 let test_durability_all_pass () =
   List.iter
-    (fun (name, mk) ->
-      let v = Crashtest.durability_test ~make:mk ~inserts:1_500 ~seed:3 () in
-      Alcotest.(check int) (name ^ ": durability violations") 0 v)
-    [
-      ("P-CLHT", Harness.Subjects.clht);
-      ("P-HOT", Harness.Subjects.hot);
-      ("P-ART", Harness.Subjects.art);
-      ("P-Masstree", Harness.Subjects.masstree);
-      ("P-BwTree", Harness.Subjects.bwtree);
-      ("FAST&FAIR", fun () -> Harness.Subjects.fastfair ());
-      ("CCEH", fun () -> Harness.Subjects.cceh ());
-      ("Level", Harness.Subjects.levelhash);
-    ]
+    (fun e ->
+      let v =
+        Crashtest.durability_test ~make:(I.subject e) ~inserts:1_500 ~seed:3 ()
+      in
+      Alcotest.(check int) (e.I.name ^ ": durability violations") 0 v)
+    I.all
 
 (* The durability test catches the unflushed initial allocation (§7.5's
    "initial node allocation containing the root pointer is not persisted"). *)
 let test_durability_root_bug_caught () =
   let v =
     Crashtest.durability_test
-      ~make:(fun () -> Harness.Subjects.fastfair ~bug_root_flush:true ())
+      ~make:(buggy Fastfair.name "root-flush")
       ~inserts:50 ~seed:3 ()
   in
   Alcotest.(check bool) "unflushed root detected" true (v > 0)

@@ -29,17 +29,9 @@ let teardown () =
   Pmem.Mode.set_shadow false
 
 let subjects =
-  [
-    ("P-CLHT", Harness.Subjects.clht);
-    ("P-HOT", Harness.Subjects.hot);
-    ("P-ART", Harness.Subjects.art);
-    ("P-Masstree", Harness.Subjects.masstree);
-    ("P-BwTree", Harness.Subjects.bwtree);
-    ("FAST&FAIR", fun () -> Harness.Subjects.fastfair ());
-    ("CCEH", fun () -> Harness.Subjects.cceh ());
-    ("Level", Harness.Subjects.levelhash);
-    ("WOART", Harness.Subjects.woart);
-  ]
+  List.map
+    (fun e -> (e.Harness.Index.name, Harness.Index.subject e))
+    Harness.Index.all
 
 (* One tape op: 60% insert (random key), 40% lookup checked on the spot. *)
 let apply_op rng (s : Crashtest.subject) oracle =

@@ -140,18 +140,10 @@ let test_torn_flush_recovers () =
 
 (* --- recovery under load, all indexes ----------------------------------- *)
 
-let subjects =
-  [
-    ("P-CLHT", Harness.Subjects.clht);
-    ("P-HOT", Harness.Subjects.hot);
-    ("P-ART", Harness.Subjects.art);
-    ("P-Masstree", Harness.Subjects.masstree);
-    ("P-BwTree", Harness.Subjects.bwtree);
-    ("FAST&FAIR", fun () -> Harness.Subjects.fastfair ());
-    ("CCEH", fun () -> Harness.Subjects.cceh ());
-    ("Level", Harness.Subjects.levelhash);
-    ("WOART", Harness.Subjects.woart);
-  ]
+module I = Harness.Index
+
+let fastfair = Option.get (I.find Fastfair.name)
+let fastfair_split_bug = Option.get (I.variant fastfair "split-order")
 
 (* The capstone: crash a multi-domain run at arbitrary substrate events,
    power-fail, recover (recovery itself crashed and retried), leak-sweep,
@@ -159,7 +151,8 @@ let subjects =
 let test_recovery_under_load_all () =
   let total_crashes = ref 0 in
   List.iter
-    (fun (name, make) ->
+    (fun e ->
+      let name = e.I.name and make = I.subject e in
       let r =
         Crashtest.recovery_under_load_campaign ~make ~states:6 ~load:120
           ~ops:120 ~threads:4 ~seed:19 ~faults:true
@@ -175,7 +168,7 @@ let test_recovery_under_load_all () =
       if r.Crashtest.recoveries < b.Crashtest.states_tested then
         Alcotest.failf "%s: fewer recoveries than states" name;
       total_crashes := !total_crashes + b.Crashtest.crashes_fired)
-    subjects;
+    I.all;
   Alcotest.(check bool) "some faults actually fired" true (!total_crashes > 0)
 
 (* --- mutation tests: recovery repairs a deliberately broken structure --- *)
@@ -255,7 +248,7 @@ let test_fastfair_torn_split_repaired () =
      sibling persist. *)
   let split_site = Obs.Site.find_or_create ~index:"FAST&FAIR" "split" in
   fresh_env ();
-  let probe = Harness.Subjects.fastfair () in
+  let probe = I.subject fastfair () in
   let before = Obs.Site.clwb_count split_site in
   for key = 1 to 120 do
     ignore (probe.Crashtest.insert key (key * 5))
@@ -270,7 +263,7 @@ let test_fastfair_torn_split_repaired () =
   let repairs = ref 0 and fired = ref 0 in
   List.iter (fun k ->
     fresh_env ();
-    let s = Harness.Subjects.fastfair () in
+    let s = I.subject fastfair () in
     let acked = ref [] in
     Faultinject.arm
       (Faultinject.Crash_at_flush { site = Some "FAST&FAIR/split"; k });
@@ -315,7 +308,7 @@ let test_fastfair_torn_split_repaired () =
 let test_fastfair_bug_caught_by_faults () =
   let split_site = Obs.Site.find_or_create ~index:"FAST&FAIR" "split" in
   fresh_env ();
-  let probe = Harness.Subjects.fastfair ~bug_split_order:true () in
+  let probe = I.subject fastfair_split_bug () in
   let before = Obs.Site.clwb_count split_site in
   for key = 1 to 120 do
     ignore (probe.Crashtest.insert key (key * 5))
@@ -324,7 +317,7 @@ let test_fastfair_bug_caught_by_faults () =
   let lost = ref 0 in
   for k = 1 to n_split do
     fresh_env ();
-    let s = Harness.Subjects.fastfair ~bug_split_order:true () in
+    let s = I.subject fastfair_split_bug () in
     let acked = ref [] in
     Faultinject.arm
       (Faultinject.Crash_at_flush { site = Some "FAST&FAIR/split"; k });
@@ -349,19 +342,45 @@ let test_fastfair_bug_caught_by_faults () =
 
 (* Fixed seed -> identical crash-state digest across two runs, for both
    fault-injected and declared-crash-point campaigns (the regression that
-   keeps the whole harness replayable). *)
+   keeps the whole harness replayable), and equal to the pinned value for
+   every index.  The pins were recorded before the index registry replaced
+   the per-tool adapters, so they also fail if a projection changes a
+   constructor argument or an operation's semantics.  (WOART delegates to
+   P-ART and reproduces its digests; Level and CCEH happen to coincide on
+   declared crash points.) *)
+let digest_pins =
+  [
+    ("P-ART", 2059926504676139944, 2629939997911095650);
+    ("P-HOT", 3959386080715011494, 3264166850552884642);
+    ("P-Masstree", 2445366496722521464, 307108736986097601);
+    ("P-BwTree", 1550858843044124144, 2896094648240771327);
+    ("FAST&FAIR", 3251397804810190359, 121946252829311930);
+    ("WOART", 2059926504676139944, 2629939997911095650);
+    ("P-CLHT", 4595984189311372127, 3820132839437360741);
+    ("CCEH", 2414005577348732780, 505983633875601236);
+    ("Level", 747922686108083304, 505983633875601236);
+  ]
+
 let test_digest_deterministic () =
-  let check name make ~faults =
-    let d1 = Crashtest.crash_state_digest ~make ~states:6 ~load:120 ~seed:23 ~faults ()
-    and d2 = Crashtest.crash_state_digest ~make ~states:6 ~load:120 ~seed:23 ~faults () in
-    Alcotest.(check int)
-      (Printf.sprintf "%s digest stable (faults=%b)" name faults)
-      d1 d2
-  in
-  check "P-CLHT" Harness.Subjects.clht ~faults:true;
-  check "P-CLHT" Harness.Subjects.clht ~faults:false;
-  check "P-ART" Harness.Subjects.art ~faults:true;
-  check "FAST&FAIR" (fun () -> Harness.Subjects.fastfair ()) ~faults:false
+  Alcotest.(check (list string))
+    "one pin per index"
+    (List.map (fun e -> e.I.name) I.all)
+    (List.map (fun (n, _, _) -> n) digest_pins);
+  List.iter2
+    (fun e (_, with_faults, without) ->
+      let make = I.subject e in
+      List.iter
+        (fun (faults, pinned) ->
+          let digest () =
+            Crashtest.crash_state_digest ~make ~states:6 ~load:120 ~seed:23
+              ~faults ()
+          in
+          let d1 = digest () in
+          let label = Printf.sprintf "%s digest (faults=%b)" e.I.name faults in
+          Alcotest.(check int) (label ^ " stable") d1 (digest ());
+          Alcotest.(check int) (label ^ " pinned") pinned d1)
+        [ (true, with_faults); (false, without) ])
+    I.all digest_pins
 
 let () =
   Alcotest.run "faultinject"

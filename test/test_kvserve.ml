@@ -7,6 +7,9 @@
 
 let () = Harness.Sanitize_env.init ()
 
+let art_part = Harness.Index.(partition art)
+let clht_part = Harness.Index.(partition (Option.get (find Clht.name)))
+
 open Kvserve
 
 let fresh_env () =
@@ -587,7 +590,7 @@ let test_server_smoke () =
         { Server.shards = 2; batch = 8; queue_cap = 64;
           mode = Server.Epoch { EC.default_cfg with max_ops = 1 } }
       in
-      let srv = Server.start cfg (Array.init 2 (fun _ -> Harness.Kvparts.art ())) in
+      let srv = Server.start cfg (Array.init 2 (fun _ -> art_part ())) in
       let conn = Server.Conn.create srv in
       (* Batched puts, one request. *)
       let put_ops = List.init 100 (fun i -> Wire.Put (ik (i + 1), (i + 1) * 3)) in
@@ -666,7 +669,7 @@ let test_conn_trickle () =
         { Server.shards = 1; batch = 4; queue_cap = 16;
           mode = Server.Epoch { EC.default_cfg with max_ops = 1 } }
       in
-      let srv = Server.start cfg [| Harness.Kvparts.art () |] in
+      let srv = Server.start cfg [| art_part () |] in
       let conn = Server.Conn.create srv in
       let req = Wire.request_string { Wire.rid = 9; ops = [ Wire.Put (ik 1, 5) ] } in
       String.iteri
@@ -710,7 +713,7 @@ let test_server_hash_partition () =
           mode = Server.Epoch { EC.default_cfg with max_ops = 1 } }
       in
       let srv =
-        Server.start cfg (Array.init 2 (fun _ -> Harness.Kvparts.clht ()))
+        Server.start cfg (Array.init 2 (fun _ -> clht_part ()))
       in
       let resp =
         Server.submit srv
@@ -751,7 +754,7 @@ let test_stats_endpoint () =
               mode = Server.Epoch { EC.default_cfg with max_ops = 1 } }
           in
           let srv =
-            Server.start cfg (Array.init 2 (fun _ -> Harness.Kvparts.art ()))
+            Server.start cfg (Array.init 2 (fun _ -> art_part ()))
           in
           let conn = Server.Conn.create srv in
           let nput = 60 in
@@ -826,7 +829,7 @@ let test_stats_across_recovery () =
         { Server.shards = 2; batch = 8; queue_cap = 64;
           mode = Server.Epoch { EC.default_cfg with max_ops = 1 } }
       in
-      let parts = Array.init 2 (fun _ -> Harness.Kvparts.art ()) in
+      let parts = Array.init 2 (fun _ -> art_part ()) in
       let srv = Server.start cfg parts in
       let conn = Server.Conn.create srv in
       let n1 = 40 in
@@ -873,7 +876,7 @@ let test_spans_off_zero_overhead () =
         { Server.shards = 2; batch = 8; queue_cap = 64;
           mode = Server.Epoch { EC.default_cfg with max_ops = 1 } }
       in
-      let srv = Server.start cfg (Array.init 2 (fun _ -> Harness.Kvparts.art ())) in
+      let srv = Server.start cfg (Array.init 2 (fun _ -> art_part ())) in
       let conn = Server.Conn.create srv in
       let resp =
         via_conn conn
@@ -984,7 +987,7 @@ let test_server_epoch_mode () =
           mode = Server.Epoch ecfg }
       in
       let srv =
-        Server.start cfg (Array.init 2 (fun _ -> Harness.Kvparts.art ()))
+        Server.start cfg (Array.init 2 (fun _ -> art_part ()))
       in
       let conn = Server.Conn.create srv in
       let nput = 120 in
@@ -1042,7 +1045,7 @@ let test_epoch_acked_survive_power_failure () =
                                 max_delay_ns = 50_000 };
         }
       in
-      let parts = Array.init 2 (fun _ -> Harness.Kvparts.art ()) in
+      let parts = Array.init 2 (fun _ -> art_part ()) in
       let srv = Server.start cfg parts in
       let conn = Server.Conn.create srv in
       let nput = 80 in
@@ -1080,7 +1083,7 @@ let test_epoch_acked_survive_power_failure () =
 let flushes_for ~mode () =
   fresh_env ();
   let cfg = { Server.shards = 2; batch = 32; queue_cap = 256; mode } in
-  let srv = Server.start cfg (Array.init 2 (fun _ -> Harness.Kvparts.art ())) in
+  let srv = Server.start cfg (Array.init 2 (fun _ -> art_part ())) in
   let lg =
     {
       Loadgen.default_cfg with
@@ -1186,12 +1189,12 @@ let test_crash_drains_queue () =
 
 let test_crash_mid_serving_ordered () =
   with_env (fun () ->
-      let r = run_campaign (fun _ -> Harness.Kvparts.art ()) in
+      let r = run_campaign (fun _ -> art_part ()) in
       check_campaign "art" r)
 
 let test_crash_mid_serving_hash () =
   with_env (fun () ->
-      let r = run_campaign (fun _ -> Harness.Kvparts.clht ()) in
+      let r = run_campaign (fun _ -> clht_part ()) in
       check_campaign "clht" r)
 
 (* Per-op mode acks through the same epoch release as every other mode, so
@@ -1200,7 +1203,7 @@ let test_crash_mid_serving_hash () =
 let test_crash_mid_serving_per_op () =
   with_env (fun () ->
       let r =
-        run_campaign ~mode:Server.Per_op (fun _ -> Harness.Kvparts.art ())
+        run_campaign ~mode:Server.Per_op (fun _ -> art_part ())
       in
       check_campaign "art per-op" r)
 
@@ -1236,22 +1239,22 @@ let check_epoch_campaign name r =
 let test_epoch_crash_mid_epoch_art () =
   with_env (fun () ->
       check_epoch_campaign "art mid-epoch"
-        (run_epoch_campaign ~plan:`Mid_epoch (fun _ -> Harness.Kvparts.art ())))
+        (run_epoch_campaign ~plan:`Mid_epoch (fun _ -> art_part ())))
 
 let test_epoch_crash_boundary_art () =
   with_env (fun () ->
       check_epoch_campaign "art boundary"
-        (run_epoch_campaign ~plan:`Boundary (fun _ -> Harness.Kvparts.art ())))
+        (run_epoch_campaign ~plan:`Boundary (fun _ -> art_part ())))
 
 let test_epoch_crash_mid_epoch_clht () =
   with_env (fun () ->
       check_epoch_campaign "clht mid-epoch"
-        (run_epoch_campaign ~plan:`Mid_epoch (fun _ -> Harness.Kvparts.clht ())))
+        (run_epoch_campaign ~plan:`Mid_epoch (fun _ -> clht_part ())))
 
 let test_epoch_crash_boundary_clht () =
   with_env (fun () ->
       check_epoch_campaign "clht boundary"
-        (run_epoch_campaign ~plan:`Boundary (fun _ -> Harness.Kvparts.clht ())))
+        (run_epoch_campaign ~plan:`Boundary (fun _ -> clht_part ())))
 
 (* Mutation adequacy: delete the epoch fence (advance drops the open
    epoch's deferred lines without flushing, still reports it persisted) and
@@ -1265,7 +1268,7 @@ let test_epoch_mutation_caught () =
           ~finally:(fun () -> Recipe.Persist.mutate_drop_epoch_flush := false)
           (fun () ->
             Servecrash.campaign
-              ~make:(fun _ -> Harness.Kvparts.art ())
+              ~make:(fun _ -> art_part ())
               ~cfg:epoch_crash_cfg ~plan:`Mid_epoch ~states:2 ~load:60 ~ops:120
               ~workers:2 ~seed:17 ())
       in

@@ -11,70 +11,21 @@ let reset () =
   Pmem.Stats.reset ();
   Util.Lock.new_epoch ()
 
-type ops = {
-  oname : string;
-  insert : string -> int -> bool;
-  lookup : string -> int option;
-  delete : string -> bool;
-  scan : string -> int -> (string * int) list;
-}
+module I = Harness.Index
 
-let all_indexes () =
-  let collect scanf key n =
-    let acc = ref [] in
-    let _ = scanf key n (fun k v -> acc := (k, v) :: !acc) in
-    List.rev !acc
-  in
-  let art = Art.create () in
-  let hot = Hot.create () in
-  let mt = Masstree.create () in
-  let bw = Bwtree.create ~space:(Recipe.Wordkey.int_space ()) () in
-  let ff = Fastfair.create ~space:(Recipe.Wordkey.int_space ()) () in
-  let wo = Woart.create () in
-  [
-    {
-      oname = "P-ART";
-      insert = Art.insert art;
-      lookup = Art.lookup art;
-      delete = Art.delete art;
-      scan = (fun k n -> collect (Art.scan art) k n);
-    };
-    {
-      oname = "P-HOT";
-      insert = Hot.insert hot;
-      lookup = Hot.lookup hot;
-      delete = Hot.delete hot;
-      scan = (fun k n -> collect (Hot.scan hot) k n);
-    };
-    {
-      oname = "P-Masstree";
-      insert = Masstree.insert mt;
-      lookup = Masstree.lookup mt;
-      delete = Masstree.delete mt;
-      scan = (fun k n -> collect (Masstree.scan mt) k n);
-    };
-    {
-      oname = "P-BwTree";
-      insert = Bwtree.insert bw;
-      lookup = Bwtree.lookup bw;
-      delete = Bwtree.delete bw;
-      scan = (fun k n -> collect (Bwtree.scan bw) k n);
-    };
-    {
-      oname = "FAST&FAIR";
-      insert = Fastfair.insert ff;
-      lookup = Fastfair.lookup ff;
-      delete = Fastfair.delete ff;
-      scan = (fun k n -> collect (Fastfair.scan ff) k n);
-    };
-    {
-      oname = "WOART";
-      insert = Woart.insert wo;
-      lookup = Woart.lookup wo;
-      delete = Woart.delete wo;
-      scan = (fun k n -> collect (Woart.scan wo) k n);
-    };
-  ]
+(* Fresh native ops of every ordered index in the registry. *)
+let ordered sizing =
+  List.filter_map
+    (fun e ->
+      match e.I.family with
+      | I.Ordered make -> Some (make sizing)
+      | I.Hash _ -> None)
+    I.all
+
+let scan_list o key n =
+  let acc = ref [] in
+  ignore ((Option.get o.I.scan) key n (fun k v -> acc := (k, v) :: !acc));
+  List.rev !acc
 
 type op = Insert of int * int | Delete of int | Lookup of int | Scan of int * int
 
@@ -103,7 +54,7 @@ let prop_all_agree =
         (QCheck.Gen.list_size (QCheck.Gen.int_range 0 250) op_gen))
     (fun ops ->
       reset ();
-      let idxs = all_indexes () in
+      let idxs = ordered I.Small in
       let model = ref SM.empty in
       List.for_all
         (fun op ->
@@ -112,16 +63,16 @@ let prop_all_agree =
               let key = Util.Keys.encode_int k in
               let fresh = not (SM.mem key !model) in
               if fresh then model := SM.add key v !model;
-              List.for_all (fun i -> i.insert key v = fresh) idxs
+              List.for_all (fun i -> i.I.insert key v = fresh) idxs
           | Delete k ->
               let key = Util.Keys.encode_int k in
               let present = SM.mem key !model in
               model := SM.remove key !model;
-              List.for_all (fun i -> i.delete key = present) idxs
+              List.for_all (fun i -> i.I.delete key = present) idxs
           | Lookup k ->
               let key = Util.Keys.encode_int k in
               let expect = SM.find_opt key !model in
-              List.for_all (fun i -> i.lookup key = expect) idxs
+              List.for_all (fun i -> i.I.lookup key = expect) idxs
           | Scan (k, n) ->
               let key = Util.Keys.encode_int k in
               let expect =
@@ -129,11 +80,11 @@ let prop_all_agree =
                 |> List.filter (fun (key', _) -> String.compare key' key >= 0)
                 |> List.filteri (fun i _ -> i < n)
               in
-              List.for_all (fun i -> i.scan key n = expect) idxs)
+              List.for_all (fun i -> scan_list i key n = expect) idxs)
         ops)
 
-(* Same differential check with string keys on the indexes that take them
-   natively. *)
+(* Same differential check with string keys; the B+-trees keep them behind
+   pointers into the persistent string pool (§7's string mode). *)
 let prop_string_keys_agree =
   QCheck.Test.make ~name:"ordered indexes agree on string keys" ~count:20
     QCheck.(
@@ -143,26 +94,19 @@ let prop_string_keys_agree =
            (QCheck.Gen.int_range 1 500)))
     (fun ids ->
       reset ();
-      let art = Art.create () in
-      let hot = Hot.create () in
-      let mt = Masstree.create () in
+      let idxs = ordered (I.Ycsb Ycsb.Strkey) in
       let model = ref SM.empty in
       List.iter
         (fun id ->
           let key = Util.Keys.string_key id in
           if not (SM.mem key !model) then model := SM.add key id !model;
-          ignore (Art.insert art key id);
-          ignore (Hot.insert hot key id);
-          ignore (Masstree.insert mt key id))
+          List.iter (fun (i : string I.ops) -> ignore (i.I.insert key id)) idxs)
         ids;
       SM.for_all
-        (fun key v ->
-          Art.lookup art key = Some v
-          && Hot.lookup hot key = Some v
-          && Masstree.lookup mt key = Some v)
+        (fun key v -> List.for_all (fun i -> i.I.lookup key = Some v) idxs)
         !model)
 
-(* Update agreement across the five update-capable ordered indexes. *)
+(* Update agreement across the update-capable ordered indexes. *)
 let prop_updates_agree =
   QCheck.Test.make ~name:"update-capable indexes agree" ~count:25
     QCheck.(
@@ -174,13 +118,14 @@ let prop_updates_agree =
            (QCheck.Gen.pair (QCheck.Gen.int_range 0 3) (QCheck.Gen.int_range 1 200))))
     (fun ops ->
       reset ();
-      let art = Art.create () in
-      let hot = Hot.create () in
-      let mt = Masstree.create () in
-      let bw = Bwtree.create ~space:(Recipe.Wordkey.int_space ()) () in
-      let wo = Woart.create () in
+      let idxs =
+        List.filter_map
+          (fun (i : string I.ops) -> Option.map (fun u -> (i, u)) i.I.update)
+          (ordered I.Small)
+      in
       let model = Hashtbl.create 16 in
       let tick = ref 0 in
+      let all f = List.for_all f idxs in
       List.for_all
         (fun (op, key) ->
           incr tick;
@@ -189,36 +134,18 @@ let prop_updates_agree =
           | 0 ->
               let fresh = not (Hashtbl.mem model key) in
               if fresh then Hashtbl.replace model key !tick;
-              let v = !tick in
-              Art.insert art kk v = fresh
-              && Hot.insert hot kk v = fresh
-              && Masstree.insert mt kk v = fresh
-              && Bwtree.insert bw kk v = fresh
-              && Woart.insert wo kk v = fresh
+              all (fun (i, _) -> i.I.insert kk !tick = fresh)
           | 1 ->
               let present = Hashtbl.mem model key in
               if present then Hashtbl.replace model key (- !tick);
-              let v = - !tick in
-              Art.update art kk v = present
-              && Hot.update hot kk v = present
-              && Masstree.update mt kk v = present
-              && Bwtree.update bw kk v = present
-              && Woart.update wo kk v = present
+              all (fun (_, update) -> update kk (- !tick) = present)
           | 2 ->
               let present = Hashtbl.mem model key in
               Hashtbl.remove model key;
-              Art.delete art kk = present
-              && Hot.delete hot kk = present
-              && Masstree.delete mt kk = present
-              && Bwtree.delete bw kk = present
-              && Woart.delete wo kk = present
+              all (fun (i, _) -> i.I.delete kk = present)
           | _ ->
               let expect = Hashtbl.find_opt model key in
-              Art.lookup art kk = expect
-              && Hot.lookup hot kk = expect
-              && Masstree.lookup mt kk = expect
-              && Bwtree.lookup bw kk = expect
-              && Woart.lookup wo kk = expect)
+              all (fun (i, _) -> i.I.lookup kk = expect))
         ops)
 
 let () =

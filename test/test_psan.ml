@@ -284,19 +284,6 @@ let test_mutation_clean_controls () =
 
 (* --- clean runs of all 9 indexes ------------------------------------------ *)
 
-let subject_thunks () =
-  [
-    (fun () -> Harness.Subjects.clht ());
-    (fun () -> Harness.Subjects.cceh ());
-    (fun () -> Harness.Subjects.levelhash ());
-    (fun () -> Harness.Subjects.art ());
-    (fun () -> Harness.Subjects.hot ());
-    (fun () -> Harness.Subjects.masstree ());
-    (fun () -> Harness.Subjects.bwtree ());
-    (fun () -> Harness.Subjects.fastfair ());
-    (fun () -> Harness.Subjects.woart ());
-  ]
-
 let test_all_indexes_clean () =
   List.iter
     (fun mk ->
@@ -322,7 +309,7 @@ let test_all_indexes_clean () =
           Alcotest.(check int)
             (s.Crashtest.sname ^ " clean under sanitizer")
             0 (D.count ())))
-    (subject_thunks ())
+    (List.map Harness.Index.subject Harness.Index.all)
 
 (* --- zero-overhead guard --------------------------------------------------
 

@@ -18,6 +18,9 @@
 
 let () = Harness.Sanitize_env.init ()
 
+let art_part = Harness.Index.(partition art)
+let clht_part = Harness.Index.(partition (Option.get (find Clht.name)))
+
 open Kvserve
 
 let fresh_env () =
@@ -240,12 +243,12 @@ let run_differential name make ~upsert ~mode =
 
 let test_differential_art () =
   with_env (fun () ->
-      run_differential "art" Harness.Kvparts.art ~upsert:true
+      run_differential "art" art_part ~upsert:true
         ~mode:(Server.Epoch { Epoch_ctl.default_cfg with max_ops = 1 }))
 
 let test_differential_clht () =
   with_env (fun () ->
-      run_differential "clht" Harness.Kvparts.clht ~upsert:false
+      run_differential "clht" clht_part ~upsert:false
         ~mode:
           (Server.Epoch
              {
@@ -283,7 +286,7 @@ let test_txn_crash_art_single_shard () =
   with_env (fun () ->
       check_txn_campaign "art/1shard"
         (run_txn_campaign
-           ~make:(fun _ -> Harness.Kvparts.art ())
+           ~make:(fun _ -> art_part ())
            ~shards:1
            ~mode:(Server.Epoch { Epoch_ctl.default_cfg with max_ops = 1 })
            ~plan:`Boundary ~seed:21))
@@ -292,7 +295,7 @@ let test_txn_crash_art_cross_shard () =
   with_env (fun () ->
       check_txn_campaign "art/2shard"
         (run_txn_campaign
-           ~make:(fun _ -> Harness.Kvparts.art ())
+           ~make:(fun _ -> art_part ())
            ~shards:2
            ~mode:
              (Server.Epoch
@@ -307,14 +310,14 @@ let test_txn_crash_clht_single_shard () =
   with_env (fun () ->
       check_txn_campaign "clht/1shard"
         (run_txn_campaign
-           ~make:(fun _ -> Harness.Kvparts.clht ())
+           ~make:(fun _ -> clht_part ())
            ~shards:1 ~mode:Server.Per_op ~plan:`Boundary ~seed:23))
 
 let test_txn_crash_clht_cross_shard () =
   with_env (fun () ->
       check_txn_campaign "clht/2shard"
         (run_txn_campaign
-           ~make:(fun _ -> Harness.Kvparts.clht ())
+           ~make:(fun _ -> clht_part ())
            ~shards:2
            ~mode:(Server.Epoch { Epoch_ctl.default_cfg with max_ops = 1 })
            ~plan:`Random ~seed:24))

@@ -145,8 +145,7 @@ let test_end_to_end_clht () =
         Ycsb.prepare ~workload:w ~kind:Ycsb.Randint ~nloaded:2_000 ~nops:2_000
           ~threads:2 ~seed:5 ()
       in
-      let t = Clht.create () in
-      let d = Harness.Drivers.clht p t in
+      let d = Harness.Index.(driver (Option.get (find Clht.name))) p in
       ignore (Ycsb.load p d);
       let r = Ycsb.run p d in
       Alcotest.(check int)
@@ -160,8 +159,7 @@ let test_end_to_end_art_scans () =
     Ycsb.prepare ~workload:Ycsb.E ~kind:Ycsb.Randint ~nloaded:2_000 ~nops:1_000
       ~threads:2 ~seed:6 ()
   in
-  let t = Art.create () in
-  let d = Harness.Drivers.art p t in
+  let d = Harness.Index.(driver art) p in
   ignore (Ycsb.load p d);
   let r = Ycsb.run p d in
   Alcotest.(check bool) "scans visited entries" true (r.Ycsb.scanned_total > 0)
@@ -174,8 +172,7 @@ let test_scan_unsupported () =
     Ycsb.prepare ~workload:Ycsb.E ~kind:Ycsb.Randint ~nloaded:100 ~nops:100
       ~threads:1 ~seed:7 ()
   in
-  let t = Clht.create () in
-  let d = Harness.Drivers.clht p t in
+  let d = Harness.Index.(driver (Option.get (find Clht.name))) p in
   ignore (Ycsb.load p d);
   Alcotest.check_raises "E on hash raises"
     (Ycsb.Scan_unsupported Clht.name) (fun () -> ignore (Ycsb.run p d))
@@ -187,8 +184,7 @@ let test_latency_by_op () =
     Ycsb.prepare ~workload:Ycsb.A ~kind:Ycsb.Randint ~nloaded:500 ~nops:2_000
       ~threads:2 ~seed:8 ()
   in
-  let t = Clht.create () in
-  let d = Harness.Drivers.clht p t in
+  let d = Harness.Index.(driver (Option.get (find Clht.name))) p in
   ignore (Ycsb.load p d);
   let r = Ycsb.run ~latency:true p d in
   let count = function
