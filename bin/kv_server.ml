@@ -63,6 +63,10 @@ let accept_loop srv sock max_conns =
   let served = ref 0 and threads = ref [] in
   while max_conns = 0 || !served < max_conns do
     let fd, _ = Unix.accept sock in
+    (* Replies go out as soon as they are encoded: without this, Nagle can
+       hold a reply to a pipelined request until the previous one is
+       acknowledged. *)
+    Unix.setsockopt fd Unix.TCP_NODELAY true;
     incr served;
     threads := Thread.create (handle_conn srv) fd :: !threads
   done;

@@ -6,12 +6,14 @@
    server's snapshot as a human-readable report: serving counters, epoch
    progress (advances, ops/epoch, parked acks) when the server runs in
    epoch mode, pmem flush/fence cost per acked op, ack percentiles, and
-   the per-shard queue/apply/epoch_wait/fence/ack phase decomposition
+   the direct-read counters, and the per-shard
+   queue/apply/epoch_wait/fence/ack phase decomposition
    (populated when the server runs with spans enabled, e.g. --trace-out).
 
    [--smoke] is the CI loopback self-test: start an in-process server on an
-   ephemeral port, drive puts over real TCP, then query stats over the same
-   connection and exit 0 iff the snapshot is present and consistent. *)
+   ephemeral port, drive puts and a Get-only request over real TCP, then
+   query stats over the same connection and exit 0 iff the snapshot is
+   present and consistent (including at least one direct read). *)
 
 open Cmdliner
 module Wire = Kvserve.Wire
@@ -74,6 +76,10 @@ let render fields =
     "serving: %d ops acked in %d batches, %d overloaded rejections, %d group \
      lines\n"
     (f "ops_acked") (f "batches") (f "overloaded") (f "group_lines");
+  Printf.printf
+    "direct reads: %d Get(s) answered on the submitting domain, %d fell back \
+     to the queue\n"
+    (f "direct_gets") (f "direct_fallbacks");
   if epoch_mode then begin
     let epochs = f "epochs" in
     let pending =
@@ -195,10 +201,24 @@ let smoke_mode () =
      write_all fd (Wire.request_string { Wire.rid = 1; ops = puts });
      let r = read_response fd pend in
      check "puts acked" (r.Wire.status = Wire.Ok);
+     (* Every put is fenced once acked, so a Get-only request is answered
+        directly on the connection's domain. *)
+     let ngets = 10 in
+     write_all fd
+       (Wire.request_string
+          {
+            Wire.rid = 3;
+            ops = List.init ngets (fun i -> Wire.Get (Util.Keys.encode_int i));
+          });
+     let r = read_response fd pend in
+     check "gets found"
+       (r.Wire.status = Wire.Ok
+       && r.Wire.replies = List.init ngets (fun i -> Wire.Found i));
      let fields = query fd pend 2 in
      let f = fv fields in
      check "shards reported" (f "shards" = cfg.Server.shards);
-     check "acked ops counted" (f "ops_acked" >= nput);
+     check "acked ops counted" (f "ops_acked" >= nput + ngets);
+     check "gets answered directly" (f "direct_gets" > 0);
      check "server healthy" (f "crashed" = 0);
      check "queues drained"
        (f "shard.0.queue_depth" = 0 && f "shard.1.queue_depth" = 0);

@@ -20,6 +20,7 @@ type t = {
   name : string;
   aliases : string list;
   converted : bool;
+  lockfree_lookup : bool;
   family : family;
   bugs : (string * family) list;
 }
@@ -100,23 +101,39 @@ let levelhash sizing =
 
 (* --- the registry --------------------------------------------------------- *)
 
-let entry ?(aliases = []) ?(bugs = []) ~converted name family =
-  { name; aliases; converted; family; bugs }
+let entry ?(aliases = []) ?(bugs = []) ~converted ~lockfree_lookup name
+    family =
+  { name; aliases; converted; lockfree_lookup; family; bugs }
 
+(* [lockfree_lookup], per index, from its lookup code:
+   - P-ART, P-HOT: lock-free descents over nodes a writer publishes with
+     one atomic store (ROWEX);
+   - P-Masstree: reads the permutation word and follows siblings right,
+     never waiting on a node's lock;
+   - P-CLHT, CCEH, Level: re-read the key after the value (atomic
+     snapshot), no bucket or segment lock;
+   - P-BwTree: no — a lookup that meets an unfinished split helps it,
+     installing the separator itself, so it writes;
+   - FAST&FAIR: no — a reader retries while a node's version is odd, so it
+     would spin on a node a crashed writer left odd;
+   - WOART: no — every operation takes one global lock. *)
 let art =
-  entry Art.name ~aliases:[ "art" ] ~converted:true
+  entry Art.name ~aliases:[ "art" ] ~converted:true ~lockfree_lookup:true
     (Ordered (fun _ -> art_ops (Art.create ())))
 
 let all =
   [
     art;
-    entry Hot.name ~aliases:[ "hot" ] ~converted:true
+    entry Hot.name ~aliases:[ "hot" ] ~converted:true ~lockfree_lookup:true
       (Ordered (fun _ -> hot_ops (Hot.create ())));
     entry Masstree.name ~aliases:[ "masstree" ] ~converted:true
+      ~lockfree_lookup:true
       (Ordered (fun _ -> masstree_ops (Masstree.create ())));
     entry Bwtree.name ~aliases:[ "bwtree" ] ~converted:true
+      ~lockfree_lookup:false
       (Ordered (fun sz -> bwtree_ops (Bwtree.create ~space:(space sz) ())));
     entry Fastfair.name ~aliases:[ "fastfair"; "ff" ] ~converted:false
+      ~lockfree_lookup:false
       (Ordered fastfair)
       ~bugs:
         [
@@ -124,13 +141,15 @@ let all =
           ("split-order", Ordered (fastfair ~bug_split_order:true));
           ("root-flush", Ordered (fastfair ~bug_root_flush:true));
         ];
-    entry Woart.name ~aliases:[ "w" ] ~converted:false
+    entry Woart.name ~aliases:[ "w" ] ~converted:false ~lockfree_lookup:false
       (Ordered (fun _ -> woart_ops (Woart.create ())));
-    entry Clht.name ~aliases:[ "clht" ] ~converted:true (Hash clht);
-    entry Cceh.name ~converted:false
+    entry Clht.name ~aliases:[ "clht" ] ~converted:true ~lockfree_lookup:true
+      (Hash clht);
+    entry Cceh.name ~converted:false ~lockfree_lookup:true
       (Hash cceh)
       ~bugs:[ ("doubling", Hash (cceh ~bug_doubling:true)) ];
     entry Levelhash.name ~aliases:[ "levelhash" ] ~converted:false
+      ~lockfree_lookup:true
       (Hash levelhash);
   ]
 
@@ -225,6 +244,7 @@ let partition e () =
         Kvserve.Server.p_name = e.name;
         p_insert = upsert o;
         p_lookup = o.lookup;
+        p_lockfree_lookup = e.lockfree_lookup;
         p_delete = o.delete;
         p_scan =
           Option.map
@@ -243,6 +263,7 @@ let partition e () =
         Kvserve.Server.p_name = e.name;
         p_insert = (fun key v -> insert (int_of_key key) v);
         p_lookup = (fun key -> o.lookup (int_of_key key));
+        p_lockfree_lookup = e.lockfree_lookup;
         p_delete = (fun key -> o.delete (int_of_key key));
         p_scan = None;
         p_recover = o.recover;

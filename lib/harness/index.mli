@@ -45,6 +45,10 @@ type t = {
   name : string;  (** display name, e.g. ["P-ART"] *)
   aliases : string list;  (** further lowercase names {!find} accepts *)
   converted : bool;  (** converted by RECIPE (vs a hand-crafted baseline) *)
+  lockfree_lookup : bool;
+      (** [lookup] takes no lock, never waits on a writer and never
+          writes: the KV service may answer Gets on the submitting domain
+          ({!Kvserve.Server.partition}'s [p_lockfree_lookup]) *)
   family : family;
   bugs : (string * family) list;  (** seeded §3 bug variants, by [--bug] name *)
 }

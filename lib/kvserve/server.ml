@@ -23,9 +23,13 @@
    may be lost wholesale by a crash, which is the group-commit contract.
 
    Partition exclusivity is the concurrency keystone: a partition is only
-   ever touched by its shard worker, so index operations never contend
+   ever written by its shard worker, so index operations never contend
    across workers, and a worker that crashes mid-operation (fault
-   injection) cannot leave a lock that another worker spins on.
+   injection) cannot leave a lock that another worker spins on.  The one
+   exception is read-only: a request made only of [Get]s on partitions
+   whose lookup takes no lock is answered on the submitting domain,
+   checked by each shard's persistence sequence (see [direct_read] and
+   DESIGN.md §12).
 
    Backpressure is explicit: a request whose operations do not all fit in
    their target shards' queues is rejected with [Overloaded] having
@@ -37,11 +41,14 @@
 (* One key-partition of the service: an index instance restricted to the
    keys that hash to its shard.  [p_scan] is [None] for unordered (hash)
    partitions.  [p_insert] has upsert semantics where the index supports
-   update, put-if-absent otherwise. *)
+   update, put-if-absent otherwise.  [p_lockfree_lookup] says [p_lookup]
+   takes no lock, never waits on a writer and never writes, so it may run
+   on a submitting domain beside the shard worker (a direct read). *)
 type partition = {
   p_name : string;
   p_insert : string -> int -> bool;
   p_lookup : string -> int option;
+  p_lockfree_lookup : bool;
   p_delete : string -> bool;
   p_scan : (string -> int -> (string * int) list) option;
   p_recover : unit -> unit;
@@ -158,6 +165,12 @@ type shard = {
   mutable len : int;
   mutable stopping : bool;  (* drain remaining work, then exit *)
   mutable dead : bool;  (* crashed: fail remaining work, reject new *)
+  seq : int Atomic.t;
+      (* Persistence sequence: odd from just before the worker applies a
+         write until the fence that makes it durable, even otherwise, and
+         -1 (odd for good) once the shard is stopping or dead.  Only the
+         worker advances it, by compare-and-set, so it never overwrites
+         the -1 that [stop]/[kill] store. *)
   m_depth : Obs.Hist.t;  (* queue depth sampled at enqueue *)
   m_batch : Obs.Hist.t;  (* operations per executed batch *)
   m_eops : Obs.Hist.t;  (* operations released per epoch advance *)
@@ -185,6 +198,9 @@ type t = {
   c_epochs : Obs.Counter.t;  (* epoch advances that released >= 1 ack *)
   c_txns : Obs.Counter.t;  (* committed transactions *)
   c_txn_aborted : Obs.Counter.t;  (* aborted transactions *)
+  c_direct_gets : Obs.Counter.t;  (* Gets answered on the submitting domain *)
+  c_direct_fallbacks : Obs.Counter.t;  (* direct Gets sent to the queue *)
+  direct : bool;  (* every partition's lookup is lock-free *)
   m_ack : Obs.Hist.t;  (* submit-to-ack latency, successful requests *)
   coords_mu : Mutex.t;
   mutable live_coords : coord list;  (* in-flight 2PC cells, for [kill] *)
@@ -267,6 +283,27 @@ let pop sh =
       sh.len <- sh.len - 1;
       it
 
+(* --- the persistence sequence -------------------------------------------- *)
+
+(* Test-only mutation: skip the odd mark, so a direct read may return a
+   write that is applied but not yet fenced.  The read-durability crash
+   test must catch it. *)
+let mutate_skip_odd_mark = ref false
+
+(* Worker only, before a write touches the partition. *)
+let seq_dirty sh =
+  let v = Atomic.get sh.seq in
+  if v land 1 = 0 && not !mutate_skip_odd_mark then
+    ignore (Atomic.compare_and_set sh.seq v (v + 1))
+
+(* Worker only, once every applied write is fenced; before any contribute,
+   so a client that got an ack and then reads sees its own write. *)
+let seq_clean sh =
+  let v = Atomic.get sh.seq in
+  if v > 0 && v land 1 = 1 then ignore (Atomic.compare_and_set sh.seq v (v + 1))
+
+let seq_close sh = Atomic.set sh.seq (-1)
+
 (* Abort a pending 2PC cell (crash path); a decision already taken is
    respected — a durably committed transaction must still flip everywhere. *)
 let abort_coord co =
@@ -283,6 +320,7 @@ let abort_coord co =
    fail-drain their queues. *)
 let kill t =
   Atomic.set t.crashed true;
+  Array.iter seq_close t.shards_;
   Mutex.lock t.coords_mu;
   let cs = t.live_coords in
   Mutex.unlock t.coords_mu;
@@ -350,6 +388,7 @@ let worker t sh =
            ps);
       match Recipe.Persist.epoch_advance () with
       | epoch, lines ->
+          seq_clean sh;
           parked := [];
           parked_n := 0;
           sh.pending_acks <- 0;
@@ -393,6 +432,7 @@ let worker t sh =
      deferral for just this transaction, so member commits stay unflushed
      until the WAL says they may persist. *)
   let exec_txn it tp_ops tp_acc tp_tid tp_coord tp_lead =
+    seq_dirty sh;
     let temp_defer = t.cfg.mode = Per_op in
     if temp_defer then Recipe.Persist.set_group true;
     let finish_mode () = if temp_defer then Recipe.Persist.set_group false in
@@ -414,6 +454,7 @@ let worker t sh =
     let commit_done () =
       Recipe.Persist.txn_end_commit ();
       finish_mode ();
+      seq_clean sh;
       (* Count before contributing — the stats no-undercount promise. *)
       Obs.Counter.add t.c_ops (List.length tp_ops);
       if tp_lead then Obs.Counter.incr t.c_txns;
@@ -425,6 +466,7 @@ let worker t sh =
     and abort_done () =
       Recipe.Persist.txn_end_abort ();
       finish_mode ();
+      seq_clean sh;
       if tp_lead then Obs.Counter.incr t.c_txn_aborted;
       (match it.sp with
       | Some sp -> sp.Obs.Span.t_fenced <- Obs.Span.now ()
@@ -438,8 +480,13 @@ let worker t sh =
     | exception Recipe.Txn.Overflow ->
         (* Part of the undo never reached the WAL: roll the staged stores
            back in volatile memory, durably retire the record (it has been
-           [Prepared] since begin), and tell any peers to abort. *)
+           [Prepared] since begin), and tell any peers to abort.  The
+           rollback flushed and fenced every line the members' commits had
+           deferred (the table was drained when the transaction began), so
+           drop those entries: left in place, the next epoch advance would
+           find them clean and fence for nothing. *)
         Recipe.Txn.volatile_rollback undo;
+        Recipe.Persist.group_reset ();
         Recipe.Txn.retire wal;
         (match tp_coord with None -> () | Some co -> abort_coord co);
         abort_done ()
@@ -580,6 +627,9 @@ let worker t sh =
         for i = 0 to n - 1 do
           match batch_buf.(i) with
           | Some ({ pl = Single op; _ } as it) -> (
+              (match op with
+              | Wire.Put _ | Wire.Delete _ -> seq_dirty sh
+              | _ -> ());
               replies.(i) <- apply sh.part op;
               match it.sp with
               | Some sp -> sp.Obs.Span.t_applied <- Obs.Span.now ()
@@ -673,6 +723,7 @@ let start cfg parts =
           len = 0;
           stopping = false;
           dead = false;
+          seq = Atomic.make 0;
           m_depth = Obs.Hist.v (Printf.sprintf "serve.queue_depth.%d" sid);
           m_batch = Obs.Hist.v (Printf.sprintf "serve.batch_ops.%d" sid);
           m_eops = Obs.Hist.v (Printf.sprintf "serve.epoch_ops.%d" sid);
@@ -698,6 +749,9 @@ let start cfg parts =
       c_epochs = Obs.Counter.v "serve.epochs";
       c_txns = Obs.Counter.v "serve.txns";
       c_txn_aborted = Obs.Counter.v "serve.txn_aborted";
+      c_direct_gets = Obs.Counter.v "serve.direct_gets";
+      c_direct_fallbacks = Obs.Counter.v "serve.direct_fallbacks";
+      direct = Array.for_all (fun p -> p.p_lockfree_lookup) parts;
       m_ack = Obs.Hist.v "serve.ack_ns";
       coords_mu = Mutex.create ();
       live_coords = [];
@@ -717,6 +771,7 @@ let stop t =
     (fun sh ->
       Mutex.lock sh.smu;
       sh.stopping <- true;
+      seq_close sh;
       Condition.broadcast sh.nonempty;
       Mutex.unlock sh.smu)
     t.shards_;
@@ -768,6 +823,8 @@ let stats_snapshot t =
   add "epochs" (Obs.Counter.value t.c_epochs);
   add "txns" (Obs.Counter.value t.c_txns);
   add "txn_aborted" (Obs.Counter.value t.c_txn_aborted);
+  add "direct_gets" (Obs.Counter.value t.c_direct_gets);
+  add "direct_fallbacks" (Obs.Counter.value t.c_direct_fallbacks);
   let s = Pmem.Stats.snapshot () in
   add "pmem.clwb" s.Pmem.Stats.s_clwb;
   add "pmem.sfence" s.Pmem.Stats.s_sfence;
@@ -998,10 +1055,95 @@ let unregister_coords t coords =
 let release_decision_slots coords =
   List.iter (fun co -> Recipe.Txn.Decision.release ~slot:co.cslot) coords
 
-(* Submit a request and block until every op completes (the in-process
-   transport; connection handlers call this per decoded frame).  Returns
-   [Overloaded]/[Shutdown] without applying anything when rejected. *)
-let submit t (req : Wire.request) =
+(* Retain a finished op's span and file its phases under its shard. *)
+let observe_span t sp =
+  Obs.Span.finish sp;
+  let sh = t.shards_.(sp.Obs.Span.sid) in
+  Obs.Hist.observe sh.m_queue (Obs.Span.queue_ns sp);
+  Obs.Hist.observe sh.m_apply (Obs.Span.apply_ns sp);
+  Obs.Hist.observe sh.m_epoch (Obs.Span.epoch_ns sp);
+  Obs.Hist.observe sh.m_fence (Obs.Span.fence_ns sp);
+  Obs.Hist.observe sh.m_sack (Obs.Span.ack_ns sp)
+
+(* --- direct reads -------------------------------------------------------- *)
+
+(* The keys of a request made only of [Get]s, in order. *)
+let rec get_keys acc = function
+  | [] -> Some (List.rev acc)
+  | Wire.Get k :: rest -> get_keys (k :: acc) rest
+  | _ -> None
+
+(* Answer a request of only [Get]s on the calling domain, or [None] to send
+   it down the queued path.  Read every target shard's sequence (v1), run
+   the lookups, re-read the sequences (v2).  If every v1 was even and every
+   v2 equals its v1, no write touched those partitions during the lookups,
+   and every write applied before v1 was already fenced — an even sequence
+   is only ever stored after the fence — so every value returned is
+   durable, and all of them come from one instant.  A stopped or crashed
+   shard is odd for good, so its reads fall back to the path that answers
+   [Shutdown].  The lookups are optimistic: their racy reads run inside a
+   sanitizer speculation window, and an exception discards them like a
+   changed sequence does. *)
+let direct_read t rid keys =
+  let t0 = Monotonic_clock.now () in
+  let targets =
+    List.map
+      (fun k ->
+        let sh = t.shards_.(shard_of_key t.cfg k) in
+        (sh, Atomic.get sh.seq, k))
+      keys
+  in
+  let stable () =
+    List.for_all (fun (sh, v1, _) -> Atomic.get sh.seq = v1) targets
+  in
+  let replies =
+    if List.exists (fun (_, v1, _) -> v1 land 1 = 1) targets then None
+    else begin
+      let san = !Pmem.Mode.flags land Pmem.Mode.f_sanitize <> 0 in
+      if san then Pmem.Sanhook.spec_enter ();
+      let rs =
+        match
+          List.map
+            (fun (sh, _, k) ->
+              match sh.part.p_lookup k with
+              | Some v -> Wire.Found v
+              | None -> Wire.Absent)
+            targets
+        with
+        | rs -> Some rs
+        | exception _ -> None
+      in
+      if san then Pmem.Sanhook.spec_exit ();
+      if stable () then rs else None
+    end
+  in
+  let n = List.length targets in
+  match replies with
+  | None ->
+      Obs.Counter.add t.c_direct_fallbacks n;
+      None
+  | Some rs ->
+      (* Count before replying — the stats no-undercount promise. *)
+      Obs.Counter.add t.c_direct_gets n;
+      Obs.Counter.add t.c_ops n;
+      Obs.Hist.observe t.m_ack
+        (Int64.to_int (Int64.sub (Monotonic_clock.now ()) t0));
+      (* One span per Get whose whole ack is the apply phase. *)
+      if Obs.Span.enabled () then begin
+        let ts0 = Int64.to_int t0 in
+        List.iter
+          (fun (sh, _, _) ->
+            let sp = Obs.Span.start ~sid:sh.sid in
+            sp.Obs.Span.t_submit <- ts0;
+            sp.Obs.Span.t_enqueue <- ts0;
+            sp.Obs.Span.t_dequeue <- ts0;
+            observe_span t sp)
+          targets
+      end;
+      Some (ok_response rid rs)
+
+(* The queued path: route, enqueue, block until every op completes. *)
+let submit_queued t (req : Wire.request) =
   match route t req with
   | `Empty -> ok_response req.rid []
   | `Reject status ->
@@ -1050,17 +1192,7 @@ let submit t (req : Wire.request) =
                   (Int64.to_int (Int64.sub (Monotonic_clock.now ()) t0));
               if Obs.Span.enabled () then
                 Array.iter
-                  (List.iter (fun it ->
-                       match it.sp with
-                       | Some sp ->
-                           Obs.Span.finish sp;
-                           let sh = t.shards_.(sp.Obs.Span.sid) in
-                           Obs.Hist.observe sh.m_queue (Obs.Span.queue_ns sp);
-                           Obs.Hist.observe sh.m_apply (Obs.Span.apply_ns sp);
-                           Obs.Hist.observe sh.m_epoch (Obs.Span.epoch_ns sp);
-                           Obs.Hist.observe sh.m_fence (Obs.Span.fence_ns sp);
-                           Obs.Hist.observe sh.m_sack (Obs.Span.ack_ns sp)
-                       | None -> ()))
+                  (List.iter (fun it -> Option.iter (observe_span t) it.sp))
                   per_shard;
               ok_response req.rid
                 (Array.to_list
@@ -1075,6 +1207,18 @@ let submit t (req : Wire.request) =
                       pend.slots))
             end
       end)
+
+(* Submit a request and block until every op completes (the in-process
+   transport; connection handlers call this per decoded frame).  Returns
+   [Overloaded]/[Shutdown] without applying anything when rejected.  A
+   request of only [Get]s first tries {!direct_read}. *)
+let submit t (req : Wire.request) =
+  match if t.direct then get_keys [] req.ops else None with
+  | Some (_ :: _ as keys) -> (
+      match direct_read t req.rid keys with
+      | Some resp -> resp
+      | None -> submit_queued t req)
+  | Some [] | None -> submit_queued t req
 
 (* --- framed connection (codec-exercising transport) ----------------------- *)
 

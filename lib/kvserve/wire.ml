@@ -343,12 +343,19 @@ let rec dec_reply c =
 (* Generic frame decode: check the length prefix, then run [payload] on a
    cursor confined to the frame.  Inside the frame, running short or leaving
    trailing bytes are both [`Malformed] — the framing said exactly how many
-   bytes the message has. *)
-let decode_frame payload s pos : _ decoded =
-  let avail = String.length s - pos in
+   bytes the message has.  [limit] (default: the string's length) ends the
+   bytes received so far, so a caller holding a larger buffer decodes its
+   prefix without copying it out. *)
+let decode_frame ?limit payload s pos : _ decoded =
+  let limit =
+    match limit with
+    | None -> String.length s
+    | Some l -> max 0 (min l (String.length s))
+  in
+  let avail = limit - pos in
   if avail < 4 then `Need_more
   else begin
-    let c = { s; limit = String.length s; pos } in
+    let c = { s; limit; pos } in
     let len = u32 c in
     if len > max_frame then `Malformed "frame length exceeds max"
     else if avail < 4 + len then `Need_more
@@ -363,8 +370,8 @@ let decode_frame payload s pos : _ decoded =
     end
   end
 
-let decode_request s pos : request decoded =
-  decode_frame
+let decode_request ?limit s pos : request decoded =
+  decode_frame ?limit
     (fun c ->
       (match u8 c with
       | 0 -> ()
@@ -378,8 +385,8 @@ let decode_request s pos : request decoded =
       { rid; ops = List.rev !ops })
     s pos
 
-let decode_response s pos : response decoded =
-  decode_frame
+let decode_response ?limit s pos : response decoded =
+  decode_frame ?limit
     (fun c ->
       (match u8 c with
       | 1 -> ()

@@ -151,25 +151,34 @@ let[@pm.volatile] domain_wal () =
 module Decision = struct
   let n_slots = 64
 
-  let table =
-    lazy
-      (let w =
-         Pmem.Words.make ~name:"txn-decisions"
-           ~atomic_words:(List.init (n_slots * 2) Fun.id)
-           (n_slots * 2) 0
-       in
-       Pmem.Words.clwb_all ~site:s_decision w;
-       Pmem.sfence ~site:s_decision ();
-       w)
-
+  (* Built at first use, so the region takes its shadow image from the
+     mode in effect then.  The first claims race from every client domain:
+     the table is built under [mu] and published only once complete, so a
+     domain that reads [Some w] without the lock sees a whole table. *)
+  let table : Pmem.Words.t option Atomic.t = Atomic.make None
   let mu = Mutex.create ()
 
-  (* The first claims race from every client domain, and forcing one lazy
-     value from two domains at once raises [CamlinternalLazy.Undefined]:
-     the first force runs under [mu]. *)
+  let make () =
+    let w =
+      Pmem.Words.make ~name:"txn-decisions"
+        ~atomic_words:(List.init (n_slots * 2) Fun.id)
+        (n_slots * 2) 0
+    in
+    Pmem.Words.clwb_all ~site:s_decision w;
+    Pmem.sfence ~site:s_decision ();
+    w
+
   let words () =
-    if Lazy.is_val table then Lazy.force table
-    else Mutex.protect mu (fun () -> Lazy.force table)
+    match Atomic.get table with
+    | Some w -> w
+    | None ->
+        Mutex.protect mu (fun () ->
+            match Atomic.get table with
+            | Some w -> w
+            | None ->
+                let w = make () in
+                Atomic.set table (Some w);
+                w)
 
   (** Claim a free slot for [tid] (decision = abort, the presumption).
       [None] when all slots are in flight — the router backpressures. *)
@@ -240,7 +249,7 @@ let[@pm.volatile] clear_registry () =
   Mutex.lock reg_mu;
   (registry := []);
   Mutex.unlock reg_mu;
-  if Lazy.is_val Decision.table then Decision.reset ()
+  if Option.is_some (Atomic.get Decision.table) then Decision.reset ()
 
 (* --- prepare / flip / rollback ------------------------------------------ *)
 

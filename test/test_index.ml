@@ -76,6 +76,17 @@ let test_bug_variants () =
        (fun e -> if e.I.bugs = [] then None else Some e.I.name)
        I.all)
 
+(* Direct reads need a lookup that takes no lock, never waits on a writer
+   and never writes; the three indexes whose lookup does one of those stay
+   on the queued path. *)
+let test_lockfree_lookup () =
+  Alcotest.(check (list string))
+    "indexes without a lock-free lookup"
+    [ Bwtree.name; Fastfair.name; Woart.name ]
+    (List.filter_map
+       (fun e -> if e.I.lockfree_lookup then None else Some e.I.name)
+       I.all)
+
 (* --- semantics, one table over the registry ------------------------------- *)
 
 (* The ordered indexes upsert through their [update], except FAST&FAIR,
@@ -91,6 +102,8 @@ let test_semantics () =
       let label what = Printf.sprintf "%s: %s" e.I.name what in
       Alcotest.(check bool) (label "scan iff ordered") (I.ordered e)
         (p.Kvserve.Server.p_scan <> None);
+      Alcotest.(check bool) (label "partition carries lockfree_lookup")
+        e.I.lockfree_lookup p.p_lockfree_lookup;
       Alcotest.(check bool) (label "first insert") true (p.p_insert key 1);
       ignore (p.p_insert key 2);
       Alcotest.(check (option int))
@@ -132,6 +145,7 @@ let () =
             test_every_name_resolves;
           Alcotest.test_case "unknown name" `Quick test_unknown_name;
           Alcotest.test_case "bug variants" `Quick test_bug_variants;
+          Alcotest.test_case "lock-free lookups" `Quick test_lockfree_lookup;
         ] );
       ( "semantics",
         [ Alcotest.test_case "partition table" `Quick test_semantics ] );

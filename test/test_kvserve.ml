@@ -139,18 +139,21 @@ let response_roundtrip =
       | _ -> false)
 
 (* Every strict prefix of a valid frame must decode as [`Need_more] — the
-   incremental TCP read contract. *)
+   incremental TCP read contract.  Each cut is decoded in place through
+   [?limit]: copying every prefix out made these properties quadratic in
+   the frame size, and a 65 535-byte key makes frames hundreds of KB. *)
+let every_prefix_needs_more s decode =
+  let ok = ref true in
+  for cut = 0 to String.length s - 1 do
+    match decode cut with `Need_more -> () | _ -> ok := false
+  done;
+  !ok
+
 let request_prefix_needs_more =
   QCheck.Test.make ~count:100 ~name:"truncated frame decodes Need_more"
     (QCheck.make arb_request) (fun req ->
       let s = Wire.request_string req in
-      let ok = ref true in
-      for cut = 0 to String.length s - 1 do
-        match Wire.decode_request (String.sub s 0 cut) 0 with
-        | `Need_more -> ()
-        | _ -> ok := false
-      done;
-      !ok)
+      every_prefix_needs_more s (fun limit -> Wire.decode_request ~limit s 0))
 
 (* Response frames have the same incremental-read contract; this is the
    path the extended (epoch-field) stats snapshot travels. *)
@@ -158,13 +161,29 @@ let response_prefix_needs_more =
   QCheck.Test.make ~count:100 ~name:"truncated response decodes Need_more"
     (QCheck.make arb_response) (fun resp ->
       let s = Wire.response_string resp in
-      let ok = ref true in
-      for cut = 0 to String.length s - 1 do
-        match Wire.decode_response (String.sub s 0 cut) 0 with
-        | `Need_more -> ()
-        | _ -> ok := false
-      done;
-      !ok)
+      every_prefix_needs_more s (fun limit -> Wire.decode_response ~limit s 0))
+
+(* [?limit] ends the received bytes inside a larger buffer: the frame
+   before it decodes, a frame cut by it needs more, and a limit past the
+   string's end is the string's end. *)
+let test_wire_limit () =
+  let a = Wire.request_string { Wire.rid = 1; ops = [ Wire.Get "a" ] } in
+  let b = Wire.request_string { Wire.rid = 2; ops = [ Wire.Put ("b", 2) ] } in
+  let s = a ^ b in
+  let la = String.length a and n = String.length s in
+  (match Wire.decode_request ~limit:la s 0 with
+  | `Ok (r, pos) ->
+      Alcotest.(check int) "first frame" 1 r.Wire.rid;
+      Alcotest.(check int) "consumed" la pos
+  | _ -> Alcotest.fail "frame before the limit must decode");
+  (match Wire.decode_request ~limit:(n - 1) s la with
+  | `Need_more -> ()
+  | _ -> Alcotest.fail "frame cut by the limit must need more");
+  match Wire.decode_request ~limit:(n + 100) s la with
+  | `Ok (r, pos) ->
+      Alcotest.(check int) "second frame" 2 r.Wire.rid;
+      Alcotest.(check int) "consumed all" n pos
+  | _ -> Alcotest.fail "limit past the end is the end"
 
 (* --- Txn frames: same property bar as the Stats_reply extension --------- *)
 
@@ -190,13 +209,7 @@ let txn_request_prefix_needs_more =
   QCheck.Test.make ~count:100 ~name:"truncated txn frame decodes Need_more"
     (QCheck.make arb_txn_request) (fun req ->
       let s = Wire.request_string req in
-      let ok = ref true in
-      for cut = 0 to String.length s - 1 do
-        match Wire.decode_request (String.sub s 0 cut) 0 with
-        | `Need_more -> ()
-        | _ -> ok := false
-      done;
-      !ok)
+      every_prefix_needs_more s (fun limit -> Wire.decode_request ~limit s 0))
 
 let arb_txn_response =
   QCheck.Gen.(
@@ -918,6 +931,7 @@ let test_backpressure () =
               Mutex.unlock amu;
               true);
           p_lookup = (fun _ -> None);
+          p_lockfree_lookup = false;
           p_delete = (fun _ -> false);
           p_scan = None;
           p_recover = ignore;
@@ -1159,6 +1173,7 @@ let test_crash_drains_queue () =
               end
               else true);
           p_lookup = (fun _ -> None);
+          p_lockfree_lookup = false;
           p_delete = (fun _ -> false);
           p_scan = None;
           p_recover = ignore;
@@ -1275,6 +1290,411 @@ let test_epoch_mutation_caught () =
       Alcotest.(check bool) "dropped epoch fence detected as loss" true
         (r.Crashtest.base.Crashtest.lost_keys > 0))
 
+(* --- direct reads --------------------------------------------------------- *)
+
+(* An ART partition whose inserts linger after applying: each put is
+   visible, but not yet fenced, for [linger] seconds — the window in which
+   a direct read must not answer. *)
+let lingering_art ~linger () =
+  let p = art_part () in
+  {
+    p with
+    Server.p_insert =
+      (fun k v ->
+        let r = p.Server.p_insert k v in
+        Unix.sleepf linger;
+        r);
+  }
+
+let direct_counts srv =
+  let f k =
+    match Server.stats_snapshot srv |> List.assoc_opt k with
+    | Some v -> v
+    | None -> Alcotest.fail ("snapshot lacks " ^ k)
+  in
+  (f "direct_gets", f "direct_fallbacks")
+
+(* Read durability under a crash.  A writer puts fresh keys while readers
+   send Get-only requests for the keys it is putting right now; a fault
+   crashes a worker mid-apply; after power failure and recovery, every key
+   a reader saw [Found] must still be present with its value.  Returns
+   (violations, direct Gets served, crashes fired) over [states]. *)
+let read_durability_campaign ~states ~seed =
+  let cfg =
+    { Server.shards = 2; batch = 8; queue_cap = 64;
+      mode = Server.Epoch EC.default_cfg }
+  in
+  let per_request = 8 and requests = 40 and readers = 2 in
+  let run_traffic srv ~base =
+    (* [hi]: the highest key whose put has been submitted. *)
+    let hi = Atomic.make 0 and writing = Atomic.make true in
+    let writer =
+      Domain.spawn (fun () ->
+          let stop = ref false and r = ref 0 in
+          while (not !stop) && !r < requests do
+            let k0 = base + (!r * per_request) in
+            Atomic.set hi (k0 + per_request - 1);
+            let ops =
+              List.init per_request (fun j ->
+                  Wire.Put (ik (k0 + j), Loadgen.value_of_key (k0 + j)))
+            in
+            (match (Server.submit srv { Wire.rid = !r; ops }).Wire.status with
+            | Wire.Ok -> ()
+            | _ -> stop := true);
+            incr r
+          done;
+          Atomic.set writing false)
+    in
+    let reader rid =
+      Domain.spawn (fun () ->
+          let g = Util.Rng.create (seed + rid) in
+          let seen = ref [] in
+          while Atomic.get writing do
+            let top = Atomic.get hi in
+            let ks =
+              List.init 2 (fun _ -> max 1 (top - Util.Rng.below g per_request))
+            in
+            let resp =
+              Server.submit srv
+                { Wire.rid = 0; ops = List.map (fun k -> Wire.Get (ik k)) ks }
+            in
+            if resp.Wire.status = Wire.Ok then
+              List.iter2
+                (fun k r ->
+                  match r with
+                  | Wire.Found v -> seen := (k, v) :: !seen
+                  | _ -> ())
+                ks resp.Wire.replies
+          done;
+          !seen)
+    in
+    let rs = List.init readers reader in
+    Domain.join writer;
+    List.concat_map Domain.join rs
+  in
+  let mk_parts () =
+    Array.init cfg.Server.shards (fun _ -> lingering_art ~linger:0.0002 ())
+  in
+  (* Preview: the traffic's store count, so crash points land inside it. *)
+  let stores =
+    Servecrash.fresh_env ();
+    let srv = Server.start cfg (mk_parts ()) in
+    let ev =
+      Faultinject.count_events (fun () -> ignore (run_traffic srv ~base:1))
+    in
+    Server.stop srv;
+    ev.Faultinject.stores
+  in
+  let rng = Util.Rng.create seed in
+  let violations = ref 0 and direct = ref 0 and crashes = ref 0 in
+  for state = 1 to states do
+    Servecrash.fresh_env ();
+    let parts = mk_parts () in
+    let srv = Server.start cfg parts in
+    let d0, _ = direct_counts srv in
+    let k = 1 + Util.Rng.below rng (max 1 stores) in
+    Faultinject.arm (Faultinject.Crash_at_store { k });
+    let seen = run_traffic srv ~base:(state * 100_000) in
+    if Server.crashed srv then incr crashes;
+    let d1, _ = direct_counts srv in
+    direct := !direct + (d1 - d0);
+    Server.stop srv;
+    Faultinject.disarm ();
+    Pmem.Crash.disarm ();
+    Pmem.sanitize_sync ();
+    Pmem.simulate_power_failure ();
+    Array.iter (fun p -> p.Server.p_recover ()) parts;
+    List.iter
+      (fun (k, v) ->
+        let p = parts.(Server.shard_of_key cfg (ik k)) in
+        if p.Server.p_lookup (ik k) <> Some v then incr violations)
+      seen
+  done;
+  (!violations, !direct, !crashes)
+
+let test_direct_read_durability () =
+  with_env (fun () ->
+      let violations, direct, crashes =
+        read_durability_campaign ~states:6 ~seed:31
+      in
+      Alcotest.(check bool) "crashes fired" true (crashes > 0);
+      Alcotest.(check bool) "reads were served directly" true (direct > 0);
+      Alcotest.(check int) "reads that did not survive the crash" 0 violations)
+
+(* Mutation adequacy: without the odd mark a direct read can return a put
+   that is applied but not fenced, and the campaign must see it vanish. *)
+let test_direct_read_mutation_caught () =
+  with_env (fun () ->
+      Server.mutate_skip_odd_mark := true;
+      let violations, _, _ =
+        Fun.protect
+          ~finally:(fun () -> Server.mutate_skip_odd_mark := false)
+          (fun () -> read_durability_campaign ~states:6 ~seed:37)
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "skipped odd mark detected (%d violations)" violations)
+        true (violations > 0))
+
+let rec chunks n l =
+  match l with
+  | [] -> []
+  | _ ->
+      let rec split i acc = function
+        | x :: rest when i < n -> split (i + 1) (x :: acc) rest
+        | rest -> (List.rev acc, rest)
+      in
+      let c, rest = split 0 [] l in
+      c :: chunks n rest
+
+(* Direct and queued reads against a sequential model, under concurrent
+   writers and transactions.  Each model key has one writer, which writes
+   strictly increasing values: single puts, committed transactions over
+   several of its keys, and transactions doomed to abort (they overflow the
+   undo WAL) that write [poison] to one of its keys.  A read of key [k]
+   that spans [rs, re] must return a value that was written to [k], no
+   older than the last write acked before [rs] and no newer than the last
+   write submitted before [re] — and never [poison]. *)
+let test_direct_read_differential () =
+  with_env (fun () ->
+      let cfg =
+        { Server.shards = 2; batch = 8; queue_cap = 256;
+          mode = Server.Epoch EC.default_cfg }
+      in
+      let srv = Server.start cfg (Array.init 2 (fun _ -> art_part ())) in
+      let writers = 2 and per_writer = 12 and steps = 120 and readers = 2 in
+      let nkeys = writers * per_writer in
+      let key i = ik (i + 1) in
+      (* A doomed transaction also updates every ballast key: one undo entry
+         per leaf, more than either shard's WAL holds. *)
+      let poison = -7 and ballast0 = 1_000_000 and ballast = 1200 in
+      let ballast_key j = ik (ballast0 + j) in
+      let started = Array.init nkeys (fun _ -> Atomic.make 1)
+      and acked = Array.init nkeys (fun _ -> Atomic.make 1) in
+      List.iteri
+        (fun c ops ->
+          let r = Server.submit srv { Wire.rid = c; ops } in
+          Alcotest.(check bool) "preload acked" true (r.Wire.status = Wire.Ok))
+        (chunks 64
+           (List.init nkeys (fun i -> Wire.Put (key i, 1))
+           @ List.init ballast (fun j -> Wire.Put (ballast_key j, 0))));
+      let d0, _ = direct_counts srv in
+      let writing = Atomic.make writers in
+      let writer w =
+        Domain.spawn (fun () ->
+            let g = Util.Rng.create (100 + w) in
+            let mine () = (w * per_writer) + Util.Rng.below g per_writer in
+            let written = ref [] and doomed = ref 0 and bad = ref [] in
+            let fail fmt = Printf.ksprintf (fun e -> bad := e :: !bad) fmt in
+            let write is v ops =
+              List.iter (fun i -> Atomic.set started.(i) v) is;
+              match (Server.submit srv { Wire.rid = v; ops }).Wire.replies with
+              | [ (Wire.Done _ | Wire.Txn_ok _) ] ->
+                  List.iter
+                    (fun i ->
+                      written := (i, v) :: !written;
+                      Atomic.set acked.(i) v)
+                    is
+              | _ -> fail "write %d not acked" v
+            in
+            for v = 2 to steps + 1 do
+              match Util.Rng.below g 20 with
+              | 0 -> (
+                  let ops =
+                    Wire.Put (key (mine ()), poison)
+                    :: List.init ballast (fun j -> Wire.Put (ballast_key j, v))
+                  in
+                  let req = { Wire.rid = v; ops = [ Wire.Txn ops ] } in
+                  match (Server.submit srv req).Wire.replies with
+                  | [ Wire.Txn_aborted ] -> incr doomed
+                  | _ -> fail "doomed transaction %d not aborted" v)
+              | r when r < 8 ->
+                  let is =
+                    List.sort_uniq compare (List.init 3 (fun _ -> mine ()))
+                  in
+                  write is v
+                    [ Wire.Txn (List.map (fun i -> Wire.Put (key i, v)) is) ]
+              | _ ->
+                  let i = mine () in
+                  write [ i ] v [ Wire.Put (key i, v) ]
+            done;
+            Atomic.decr writing;
+            (!written, !doomed, !bad))
+      in
+      let reader r =
+        Domain.spawn (fun () ->
+            let g = Util.Rng.create (200 + r) in
+            let reads = ref [] and errors = ref [] and n = ref 0 in
+            let fail fmt =
+              Printf.ksprintf (fun e -> errors := e :: !errors) fmt
+            in
+            while Atomic.get writing > 0 || !n < 50 do
+              incr n;
+              let is =
+                List.init (1 + Util.Rng.below g 3) (fun _ ->
+                    Util.Rng.below g nkeys)
+              in
+              let lo = List.map (fun i -> Atomic.get acked.(i)) is in
+              let gets = List.map (fun i -> Wire.Get (key i)) is in
+              (* Every third request carries a put to a reader-private key,
+                 which sends it down the queued path. *)
+              let ops =
+                if !n mod 3 <> 0 then gets
+                else gets @ [ Wire.Put (ik (5_000_000 + r), !n) ]
+              in
+              let resp = Server.submit srv { Wire.rid = !n; ops } in
+              let hi = List.map (fun i -> Atomic.get started.(i)) is in
+              if resp.Wire.status <> Wire.Ok then fail "read request not served"
+              else
+                List.iteri
+                  (fun j i ->
+                    let lo = List.nth lo j and hi = List.nth hi j in
+                    match List.nth resp.Wire.replies j with
+                    | Wire.Found v when v = poison ->
+                        fail "key %d: read an aborted transaction's write" i
+                    | Wire.Found v when lo <= v && v <= hi ->
+                        reads := (i, v) :: !reads
+                    | Wire.Found v ->
+                        fail "key %d read %d outside [%d, %d]" i v lo hi
+                    | _ -> fail "key %d not found" i)
+                  is
+            done;
+            (!reads, !errors))
+      in
+      let ws = List.init writers writer and rs = List.init readers reader in
+      let wouts = List.map Domain.join ws and routs = List.map Domain.join rs in
+      let d1, _ = direct_counts srv in
+      let written = Hashtbl.create 256 in
+      for i = 0 to nkeys - 1 do
+        Hashtbl.replace written (i, 1) ()
+      done;
+      List.iter
+        (fun (ws, _, bad) ->
+          List.iter (fun iv -> Hashtbl.replace written iv ()) ws;
+          List.iter Alcotest.fail bad)
+        wouts;
+      List.iter
+        (fun (reads, errors) ->
+          List.iter Alcotest.fail errors;
+          List.iter
+            (fun (i, v) ->
+              if not (Hashtbl.mem written (i, v)) then
+                Alcotest.failf "key %d read %d, never written" i v)
+            reads)
+        routs;
+      Alcotest.(check bool) "some transactions aborted" true
+        (List.exists (fun (_, d, _) -> d > 0) wouts);
+      List.iter
+        (fun ops ->
+          let r = Server.submit srv { Wire.rid = 0; ops } in
+          Alcotest.(check bool) "aborted transactions rolled back" true
+            (List.for_all (( = ) (Wire.Found 0)) r.Wire.replies))
+        (chunks 64 (List.init ballast (fun j -> Wire.Get (ballast_key j))));
+      Alcotest.(check bool) "some reads were served directly" true (d1 > d0);
+      Server.stop srv)
+
+(* Every index the registry marks lock-free serves direct reads beside a
+   writer: a reader never sees a wrong value, and finds every key whose put
+   was acked before its request began. *)
+let test_direct_read_every_lockfree_index () =
+  List.iter
+    (fun (e : Harness.Index.t) ->
+      with_env (fun () ->
+          let cfg =
+            { Server.shards = 2; batch = 8; queue_cap = 64;
+              mode = Server.Epoch EC.default_cfg }
+          in
+          let srv =
+            Server.start cfg
+              (Array.init 2 (fun _ -> Harness.Index.partition e ()))
+          in
+          let acked = Atomic.make 0 and writing = Atomic.make true in
+          let writer =
+            Domain.spawn (fun () ->
+                for r = 0 to 59 do
+                  let ops =
+                    List.init 8 (fun j ->
+                        let k = (r * 8) + j + 1 in
+                        Wire.Put (ik k, 3 * k))
+                  in
+                  if (Server.submit srv { Wire.rid = r; ops }).Wire.status
+                     = Wire.Ok
+                  then Atomic.set acked ((r + 1) * 8)
+                done;
+                Atomic.set writing false)
+          in
+          let reader =
+            Domain.spawn (fun () ->
+                let g = Util.Rng.create 5 and bad = ref [] in
+                while Atomic.get writing do
+                  let lo = Atomic.get acked in
+                  let ks =
+                    List.init 3 (fun _ -> 1 + Util.Rng.below g (lo + 8))
+                  in
+                  let ops = List.map (fun k -> Wire.Get (ik k)) ks in
+                  let r = Server.submit srv { Wire.rid = 0; ops } in
+                  List.iter2
+                    (fun k rep ->
+                      match rep with
+                      | Wire.Found v when v = 3 * k -> ()
+                      | Wire.Absent when k > lo -> ()
+                      | _ -> bad := k :: !bad)
+                    ks r.Wire.replies
+                done;
+                !bad)
+          in
+          Domain.join writer;
+          let bad = Domain.join reader in
+          let direct, _ = direct_counts srv in
+          Server.stop srv;
+          Alcotest.(check (list int)) (e.name ^ ": wrong reads") [] bad;
+          Alcotest.(check bool) (e.name ^ ": reads served directly") true
+            (direct > 0)))
+    (List.filter (fun (e : Harness.Index.t) -> e.lockfree_lookup)
+       Harness.Index.all)
+
+(* A stopped or crashed shard's sequence is odd for good, so a Get-only
+   request falls back to the queued path, which answers [Shutdown]. *)
+let test_direct_read_after_stop_and_kill () =
+  with_env (fun () ->
+      let cfg =
+        { Server.shards = 2; batch = 8; queue_cap = 64;
+          mode = Server.Epoch EC.default_cfg }
+      in
+      let submit srv rid ops = Server.submit srv { Wire.rid; ops } in
+      let get srv = submit srv 2 [ Wire.Get (ik 1); Wire.Get (ik 2) ] in
+      let serving () =
+        let srv = Server.start cfg (Array.init 2 (fun _ -> art_part ())) in
+        let put = submit srv 1 [ Wire.Put (ik 1, 10); Wire.Put (ik 2, 20) ] in
+        Alcotest.(check bool) "puts acked" true (put.Wire.status = Wire.Ok);
+        let d0, _ = direct_counts srv in
+        let r = get srv in
+        Alcotest.(check bool) "gets answered" true
+          (r.Wire.status = Wire.Ok
+          && r.Wire.replies = [ Wire.Found 10; Wire.Found 20 ]);
+        Alcotest.(check int) "both gets direct" (d0 + 2)
+          (fst (direct_counts srv));
+        srv
+      in
+      let shutdown what srv =
+        Alcotest.(check bool) (what ^ ": direct read answers Shutdown") true
+          ((get srv).Wire.status = Wire.Shutdown)
+      in
+      let srv = serving () in
+      Server.stop srv;
+      shutdown "after stop" srv;
+      let srv = serving () in
+      Server.kill srv;
+      shutdown "after kill" srv;
+      Server.stop srv;
+      let srv = serving () in
+      Faultinject.arm (Faultinject.Crash_at_store { k = 1 });
+      let put = submit srv 3 [ Wire.Put (ik 3, 30) ] in
+      Faultinject.disarm ();
+      Alcotest.(check bool) "crashing put not acked" true
+        (put.Wire.status = Wire.Shutdown);
+      shutdown "after a worker crash" srv;
+      Server.stop srv)
+
 let () =
   let q = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "kvserve"
@@ -1297,6 +1717,7 @@ let () =
             Alcotest.test_case "max-size key" `Quick test_wire_max_key;
             Alcotest.test_case "negative value" `Quick test_wire_negative_value;
             Alcotest.test_case "malformed frames" `Quick test_wire_malformed;
+            Alcotest.test_case "decode limit" `Quick test_wire_limit;
             Alcotest.test_case "epoch stats reply" `Quick
               test_wire_epoch_stats_reply;
           ] );
@@ -1357,5 +1778,18 @@ let () =
             test_epoch_crash_boundary_clht;
           Alcotest.test_case "dropped epoch fence is caught" `Quick
             test_epoch_mutation_caught;
+        ] );
+      ( "direct",
+        [
+          Alcotest.test_case "direct reads survive a crash" `Quick
+            test_direct_read_durability;
+          Alcotest.test_case "skipped odd mark is caught" `Quick
+            test_direct_read_mutation_caught;
+          Alcotest.test_case "differential vs a sequential model" `Quick
+            test_direct_read_differential;
+          Alcotest.test_case "every lock-free index" `Quick
+            test_direct_read_every_lockfree_index;
+          Alcotest.test_case "Shutdown after stop or kill" `Quick
+            test_direct_read_after_stop_and_kill;
         ] );
     ]
