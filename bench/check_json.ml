@@ -119,7 +119,7 @@ let check_micro_pmem doc =
       required
   in
   table "single_domain_ns_per_op"
-    [ "words_get"; "words_set"; "words_cas"; "words_clwb" ];
+    [ "words_get"; "words_set"; "words_cas"; "words_clwb"; "refs_clwb"; "sfence" ];
   table "multi_domain_ns_per_op" [ "mt_words_get"; "mt_words_cas_shared" ];
   List.iter
     (fun (n, v) ->

@@ -391,6 +391,14 @@ let micro_pmem_measure ?(threads = 4) () =
             acc := !acc + R.get ra (i land mask)
           done;
           sink := !acc);
+      time "refs_clwb" (fun n ->
+          for i = 0 to n - 1 do
+            R.clwb rf (i land mask)
+          done);
+      time "sfence" (fun n ->
+          for _ = 1 to n do
+            Pmem.sfence ()
+          done);
     ]
   in
   (* Multi-domain: a start barrier, then [threads] domains each running
@@ -509,6 +517,16 @@ let micro_pmem_sanitize_measure () =
             acc := !acc + R.get ra (i land mask)
           done;
           sink := !acc );
+      ( "refs_clwb",
+        fun n ->
+          for i = 0 to n - 1 do
+            R.clwb rf (i land mask)
+          done );
+      ( "sfence",
+        fun n ->
+          for _ = 1 to n do
+            Pmem.sfence ()
+          done );
     ]
   in
   let off = List.map (fun (n, f) -> (n, time f)) ops in

@@ -45,7 +45,7 @@ let () =
                 Printf.printf "%-5s %s\n"
                   (Staticcheck.Finding.rule_id r)
                   (Staticcheck.Finding.rule_doc r))
-              Staticcheck.Finding.[ R1; R2; R3; R4; Parse ];
+              Staticcheck.Finding.[ R1; R2; R3; R4; R5; Parse ];
             exit 0),
         " print the rule catalog and exit" );
     ]

@@ -402,7 +402,7 @@ let recovery_under_load_campaign ~make ~states ~load ~ops ~threads ~seed
            else ignore (s.lookup (load_key (j mod load)))
          done
        with
-      | Pmem.Crash.Simulated_crash | Pmem.Fault.Alloc_failed _ ->
+      | Pmem.Crash.Simulated_crash | Pmem.Hook.Alloc_failed _ ->
           Atomic.set stop true
       | Stdlib.Exit -> ());
       !acked
@@ -552,7 +552,7 @@ let crash_state_digest ~make ~states ~load ~seed ?(faults = true) () =
        Pmem.Crash.disarm ()
      with
     | Pmem.Crash.Simulated_crash -> mix 1
-    | Pmem.Fault.Alloc_failed _ -> mix 2);
+    | Pmem.Hook.Alloc_failed _ -> mix 2);
     Faultinject.disarm ();
     Pmem.simulate_power_failure ();
     (try recover_traced s with _ -> mix 3);

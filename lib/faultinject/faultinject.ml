@@ -1,11 +1,11 @@
-(* Pluggable fault plans over the {!Pmem.Fault} seam (see faultinject.mli).
+(* Pluggable fault plans over the {!Pmem.Hook} seam (see faultinject.mli).
 
    A plan is armed globally (like {!Pmem.Crash} arming): [arm] installs the
-   plan's hooks in {!Pmem.Fault} and sets {!Pmem.Mode.f_inject}, so every
-   substrate allocation, store, flush and fence reports in.  Plans are
-   one-shot: the hook that fires first disarms the whole plan before raising,
-   so recovery code running after the crash executes injection-free unless a
-   new plan is armed (that is how crash-during-recovery is exercised).
+   plan as the seam's fault layer, so every substrate allocation, store,
+   flush and fence reports in.  Plans are one-shot: the hook that fires
+   first disarms the whole plan before raising, so recovery code running
+   after the crash executes injection-free unless a new plan is armed (that
+   is how crash-during-recovery is exercised).
 
    Determinism: every counter is a single [Atomic.t] countdown decremented
    exactly once per matching event.  Under one domain the k-th event is
@@ -42,8 +42,7 @@ let armed_plan : plan option ref = ref None
 let armed () = !armed_plan <> None
 
 let disarm () =
-  Pmem.Fault.uninstall ();
-  Pmem.Mode.set_inject false;
+  Pmem.Hook.set Pmem.Hook.Fault None;
   armed_plan := None
 
 (* Fire a crash at an intercepted event: disarm first (one-shot), attribute
@@ -67,6 +66,34 @@ let countdown k =
   let c = Atomic.make k in
   fun () -> Atomic.fetch_and_add c (-1) = 1
 
+let line_of base i = base + (i lsr 3)
+
+(* A layer from the plan's view of the stream: [store line persist] sees
+   plain stores before they land and successful read-modify-writes after;
+   [clwb site line] and [sfence site] may raise but never drop. *)
+let layer ?(alloc = ignore) ?(store = fun _ _ -> ()) ?(clwb = fun _ _ -> ())
+    ?(sfence = ignore) () =
+  {
+    Pmem.Hook.noop with
+    alloc = (fun name _ _ -> alloc name);
+    store = (fun _ base i _ persist -> store (line_of base i) persist);
+    rmw =
+      (fun _ base i op persist ->
+        let ok = op () in
+        if ok then store (line_of base i) persist;
+        ok);
+    clwb =
+      (fun _ base i s ->
+        clwb s (line_of base i);
+        false);
+    sfence =
+      (fun s ->
+        sfence s;
+        false);
+  }
+
+let install l = Pmem.Hook.set Pmem.Hook.Fault (Some l)
+
 let arm plan =
   disarm ();
   armed_plan := Some plan;
@@ -74,34 +101,27 @@ let arm plan =
     match plan with
     | Crash_at_flush { site; k } ->
         let hit = countdown k in
-        {
-          Pmem.Fault.noop with
-          f_clwb = (fun s _line -> if site_matches site s && hit () then fire s);
-        }
+        layer
+          ~clwb:(fun s _line -> if site_matches site s && hit () then fire s)
+          ()
     | Crash_at_fence { site; k } ->
         let hit = countdown k in
-        {
-          Pmem.Fault.noop with
-          f_sfence = (fun s -> if site_matches site s && hit () then fire s);
-        }
+        layer
+          ~sfence:(fun s -> if site_matches site s && hit () then fire s)
+          ()
     | Crash_at_store { k } ->
         let hit = countdown k in
-        {
-          Pmem.Fault.noop with
-          f_store = (fun _line _persist -> if hit () then fire None);
-        }
+        layer ~store:(fun _line _persist -> if hit () then fire None) ()
     | Alloc_fail { k } ->
         let hit = countdown k in
-        {
-          Pmem.Fault.noop with
-          f_alloc =
-            (fun name ->
-              if hit () then begin
-                disarm ();
-                Atomic.incr fires;
-                raise (Pmem.Fault.Alloc_failed name)
-              end);
-        }
+        layer
+          ~alloc:(fun name ->
+            if hit () then begin
+              disarm ();
+              Atomic.incr fires;
+              raise (Pmem.Hook.Alloc_failed name)
+            end)
+          ()
     | Torn_flush { k; keep } ->
         let hit = countdown k in
         (* Pending-store log, keyed by global line.  Entries are the persist
@@ -110,41 +130,37 @@ let arm plan =
            line anyway). *)
         let mu = Mutex.create () in
         let log : (int, (unit -> unit) list) Hashtbl.t = Hashtbl.create 64 in
-        {
-          Pmem.Fault.noop with
-          f_store =
-            (fun line persist ->
+        layer
+          ~store:(fun line persist ->
+            Mutex.lock mu;
+            let prev = try Hashtbl.find log line with Not_found -> [] in
+            Hashtbl.replace log line (persist :: prev);
+            Mutex.unlock mu)
+          ~clwb:(fun s line ->
+            if hit () then begin
               Mutex.lock mu;
-              let prev = try Hashtbl.find log line with Not_found -> [] in
-              Hashtbl.replace log line (persist :: prev);
-              Mutex.unlock mu);
-          f_clwb =
-            (fun s line ->
-              if hit () then begin
-                Mutex.lock mu;
-                let pending =
-                  try List.rev (Hashtbl.find log line) with Not_found -> []
-                in
-                Mutex.unlock mu;
-                (* Persist a store-order-consistent prefix of the line's
-                   pending stores: the line tears, but never out of program
-                   order — the §2.3 model of an early eviction, under which
-                   e.g. CLHT's value-then-key single-line protocol must
-                   still hold. *)
-                let n = List.length pending in
-                let kept = if n = 0 then 0 else keep mod (n + 1) in
-                List.iteri (fun i p -> if i < kept then p ()) pending;
-                fire s
-              end
-              else begin
-                Mutex.lock mu;
-                Hashtbl.remove log line;
-                Mutex.unlock mu
-              end);
-        }
+              let pending =
+                try List.rev (Hashtbl.find log line) with Not_found -> []
+              in
+              Mutex.unlock mu;
+              (* Persist a store-order-consistent prefix of the line's
+                 pending stores: the line tears, but never out of program
+                 order — the §2.3 model of an early eviction, under which
+                 e.g. CLHT's value-then-key single-line protocol must
+                 still hold. *)
+              let n = List.length pending in
+              let kept = if n = 0 then 0 else keep mod (n + 1) in
+              List.iteri (fun i p -> if i < kept then p ()) pending;
+              fire s
+            end
+            else begin
+              Mutex.lock mu;
+              Hashtbl.remove log line;
+              Mutex.unlock mu
+            end)
+          ()
   in
-  Pmem.Fault.install hooks;
-  Pmem.Mode.set_inject true
+  install hooks
 
 (* --- deterministic plan generation -------------------------------------- *)
 
@@ -178,14 +194,13 @@ let count_events f =
   and st = Atomic.make 0
   and al = Atomic.make 0 in
   disarm ();
-  Pmem.Fault.install
-    {
-      f_alloc = (fun _ -> Atomic.incr al);
-      f_store = (fun _ _ -> Atomic.incr st);
-      f_clwb = (fun _ _ -> Atomic.incr fl);
-      f_sfence = (fun _ -> Atomic.incr fe);
-    };
-  Pmem.Mode.set_inject true;
+  install
+    (layer
+       ~alloc:(fun _ -> Atomic.incr al)
+       ~store:(fun _ _ -> Atomic.incr st)
+       ~clwb:(fun _ _ -> Atomic.incr fl)
+       ~sfence:(fun _ -> Atomic.incr fe)
+       ());
   Fun.protect ~finally:disarm f;
   {
     flushes = Atomic.get fl;

@@ -1,18 +1,19 @@
-(** Deterministic fault plans over the {!Pmem.Fault} seam.
+(** Deterministic fault plans over the {!Pmem.Hook} seam.
 
-    A plan intercepts the substrate's allocation/store/flush/fence stream
-    (visible only while {!Pmem.Mode.f_inject} is set — the off path costs
-    one extra bit in the flags test the accessors already perform) and
+    A plan is the seam's fault layer: it intercepts the substrate's
+    allocation/store/flush/fence stream (with no layer installed the
+    accessors pay one bit in the flags test they already perform) and
     injects exactly one fault:
 
     - {!Crash_at_flush}/{!Crash_at_fence}: raise
       {!Pmem.Crash.Simulated_crash} at the k-th flush/fence, optionally
       restricted to one {!Obs.Site} by name ("P-CLHT/slot-commit") — the
       flush is skipped, the line stays dirty;
-    - {!Crash_at_store}: crash at the k-th persistent store, between a store
-      and its flush — strictly more crash positions than the index's own
-      declared {!Pmem.Crash.point}s;
-    - {!Alloc_fail}: raise {!Pmem.Fault.Alloc_failed} at the k-th
+    - {!Crash_at_store}: crash at the k-th persistent store (just before a
+      plain store lands, just after a successful read-modify-write) —
+      strictly more crash positions than the index's own declared
+      {!Pmem.Crash.point}s;
+    - {!Alloc_fail}: raise {!Pmem.Hook.Alloc_failed} at the k-th
       allocation, before the object exists;
     - {!Torn_flush}: at the k-th flush, persist only a store-order prefix
       ([keep mod (pending+1)] stores) of the flushed line's unflushed
@@ -34,11 +35,10 @@ type plan =
 val describe : plan -> string
 
 val arm : plan -> unit
-(** Install [plan]'s hooks and enable inject mode.  Replaces any armed
-    plan. *)
+(** Install [plan] as the seam's fault layer.  Replaces any armed plan. *)
 
 val disarm : unit -> unit
-(** Remove all hooks and clear inject mode.  Idempotent. *)
+(** Remove the fault layer.  Idempotent. *)
 
 val armed : unit -> bool
 (** A plan is installed and has not fired yet. *)

@@ -245,6 +245,7 @@ let partition e () =
         p_insert = upsert o;
         p_lookup = o.lookup;
         p_lockfree_lookup = e.lockfree_lookup;
+        p_key_ok = (fun _ -> true);
         p_delete = o.delete;
         p_scan =
           Option.map
@@ -264,6 +265,8 @@ let partition e () =
         p_insert = (fun key v -> insert (int_of_key key) v);
         p_lookup = (fun key -> o.lookup (int_of_key key));
         p_lockfree_lookup = e.lockfree_lookup;
+        (* The hash tables take positive integer keys only. *)
+        p_key_ok = (fun key -> int_of_key key > 0);
         p_delete = (fun key -> o.delete (int_of_key key));
         p_scan = None;
         p_recover = o.recover;

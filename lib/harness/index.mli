@@ -84,7 +84,8 @@ val subject : t -> unit -> Crashtest.subject
     [p_insert] upserts through [update] where the index has it, and is
     put-if-absent otherwise.  Hash partitions map an 8-byte key to its
     big-endian integer and any other key to a 62-bit FNV-1a hash of its
-    bytes. *)
+    bytes; [p_key_ok] refuses a key that maps to an integer [<= 0], which
+    the hash tables cannot hold. *)
 val partition : t -> unit -> Kvserve.Server.partition
 
 (** [driver e p] builds a fresh instance sized for [p] ([Ycsb] sizing, with

@@ -43,12 +43,16 @@
    partitions.  [p_insert] has upsert semantics where the index supports
    update, put-if-absent otherwise.  [p_lockfree_lookup] says [p_lookup]
    takes no lock, never waits on a writer and never writes, so it may run
-   on a submitting domain beside the shard worker (a direct read). *)
+   on a submitting domain beside the shard worker (a direct read).
+   [p_key_ok k] says the index can hold [k] at all (hash indexes take only
+   keys that map to a positive integer); a request naming any other key is
+   answered [Bad_request] before anything is queued. *)
 type partition = {
   p_name : string;
   p_insert : string -> int -> bool;
   p_lookup : string -> int option;
   p_lockfree_lookup : bool;
+  p_key_ok : string -> bool;
   p_delete : string -> bool;
   p_scan : (string -> int -> (string * int) list) option;
   p_recover : unit -> unit;
@@ -413,7 +417,7 @@ let worker t sh =
              holds.  Same cleanup as the mid-batch crash path; the loop
              re-enters, sees [dead], and fail-drains the ring. *)
           (match e with
-          | Pmem.Crash.Simulated_crash | Pmem.Fault.Alloc_failed _ -> ()
+          | Pmem.Crash.Simulated_crash | Pmem.Hook.Alloc_failed _ -> ()
           | e ->
               Printf.eprintf "kvserve worker %d (epoch fence): %s\n%!" sh.sid
                 (Printexc.to_string e));
@@ -608,7 +612,7 @@ let worker t sh =
                 (* Injected crash mid-transaction: the WAL's persisted
                    state decides at recovery; nothing was acknowledged. *)
                 (match e with
-                | Pmem.Crash.Simulated_crash | Pmem.Fault.Alloc_failed _ ->
+                | Pmem.Crash.Simulated_crash | Pmem.Hook.Alloc_failed _ ->
                     ()
                 | e ->
                     Printf.eprintf "kvserve worker %d (txn): %s\n%!" sh.sid
@@ -677,7 +681,7 @@ let worker t sh =
              power failure that follows a crash discards them anyway, and
              none of these ops (nor any parked op) was acknowledged. *)
           (match e with
-          | Pmem.Crash.Simulated_crash | Pmem.Fault.Alloc_failed _ -> ()
+          | Pmem.Crash.Simulated_crash | Pmem.Hook.Alloc_failed _ -> ()
           | e ->
               (* Unexpected exception: still take the server down rather
                  than hang clients, but surface the error for tests. *)
@@ -847,6 +851,14 @@ let stats_snapshot t =
 
 exception Reject of Wire.status
 
+(* The shard owning [k], or [Reject Bad_request] for a key its partition
+   cannot hold — checked on the submitting domain, so a bad key never
+   reaches (and never crashes) a worker. *)
+let shard_for t k =
+  let sid = shard_of_key t.cfg k in
+  if t.shards_.(sid).part.p_key_ok k then sid
+  else raise (Reject Wire.Bad_request)
+
 (* Route one request's ops: returns the per-shard item lists, the
    completion cell and the request's 2PC cells ([`Routed]), [`Empty] for
    an empty request, or [`Reject] — a malformed transaction member
@@ -906,7 +918,7 @@ let route t (req : Wire.request) =
               (fun mi op ->
                 match op with
                 | Wire.Get k | Wire.Put (k, _) | Wire.Delete k ->
-                    let sid = shard_of_key t.cfg k in
+                    let sid = shard_for t k in
                     groups.(sid) <- (mi, op) :: groups.(sid)
                 | Wire.Scan _ | Wire.Stats | Wire.Txn _ ->
                     (* The wire decoder already rejects these; guard the
@@ -963,7 +975,7 @@ let route t (req : Wire.request) =
                   incr total
             done
         | (Wire.Get k | Wire.Put (k, _) | Wire.Delete k) as op ->
-            let sid = shard_of_key t.cfg k in
+            let sid = shard_for t k in
             per_shard.(sid) <- mk_item (Single op) opi sid :: per_shard.(sid);
             incr total
       done
@@ -1083,13 +1095,14 @@ let rec get_keys acc = function
    shard is odd for good, so its reads fall back to the path that answers
    [Shutdown].  The lookups are optimistic: their racy reads run inside a
    sanitizer speculation window, and an exception discards them like a
-   changed sequence does. *)
+   changed sequence does.  A key its partition cannot hold raises
+   [Reject Bad_request] before any lookup. *)
 let direct_read t rid keys =
   let t0 = Monotonic_clock.now () in
   let targets =
     List.map
       (fun k ->
-        let sh = t.shards_.(shard_of_key t.cfg k) in
+        let sh = t.shards_.(shard_for t k) in
         (sh, Atomic.get sh.seq, k))
       keys
   in
@@ -1217,7 +1230,8 @@ let submit t (req : Wire.request) =
   | Some (_ :: _ as keys) -> (
       match direct_read t req.rid keys with
       | Some resp -> resp
-      | None -> submit_queued t req)
+      | None -> submit_queued t req
+      | exception Reject status -> status_response req.rid status)
   | Some [] | None -> submit_queued t req
 
 (* --- framed connection (codec-exercising transport) ----------------------- *)

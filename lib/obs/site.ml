@@ -3,9 +3,9 @@
    A site is created once at module initialization of an index library
    (e.g. [Site.v ~index:"P-ART" "n4/add"]) and passed to the flush, fence
    and crash-point primitives, which bump the site's sharded counters.  The
-   substrate also routes every *untagged* flush and fence to {!untagged},
-   so the sum over all sites always equals the global [Stats] totals — the
-   invariant the JSON exporter checks.
+   substrate routes every *untagged* flush and fence to {!untagged}, and the
+   site counters are the only flush and fence counters: the [Stats] totals
+   are their sums ({!clwb_total}), so sites and totals cannot disagree.
 
    Sites created with [~crash:true] declare a crash-point location; the
    campaign coverage report compares the declared set against the sites
@@ -102,6 +102,22 @@ let clwb_count t = Counter.value t.clwb
 let sfence_count t = Counter.value t.sfence
 let crash_visit_count t = Counter.value t.crash_visits
 let crash_fire_count t = Counter.value t.crash_fires
+
+(* Sum of one counter over every registered site: the [Stats] totals. *)
+let total counter =
+  Mutex.protect registry_mu (fun () ->
+      Hashtbl.fold (fun _ t acc -> acc + Counter.value (counter t)) registry 0)
+
+let clwb_total () = total (fun t -> t.clwb)
+let sfence_total () = total (fun t -> t.sfence)
+
+let reset_flush_counts () =
+  Mutex.protect registry_mu (fun () ->
+      Hashtbl.iter
+        (fun _ t ->
+          Counter.reset t.clwb;
+          Counter.reset t.sfence)
+        registry)
 
 let all () =
   Mutex.lock registry_mu;

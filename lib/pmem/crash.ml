@@ -53,7 +53,7 @@ let arm_at n =
 let fire site =
   arming := Disarmed;
   Stats.incr_crashes ();
-  if !Mode.flags land Mode.f_sanitize <> 0 then (!Sanhook.h).h_crash ();
+  if !Mode.flags land Mode.f_hooked <> 0 then (!Hook.h).crash ();
   (match site with
   | Some s ->
       Obs.Site.crash_fire s;
@@ -92,7 +92,7 @@ let point ?site () =
    countdown that never fires and report how many points were visited.  Used
    by tests to enumerate crash positions exhaustively. *)
 let count_points f =
-  let before = (Stats.snapshot ()).s_crash_points in
+  let before = Obs.Counter.value Stats.crash_points in
   arming := Countdown (Atomic.make max_int);
   Fun.protect ~finally:disarm f;
-  (Stats.snapshot ()).s_crash_points - before
+  Obs.Counter.value Stats.crash_points - before

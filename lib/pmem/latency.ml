@@ -13,7 +13,10 @@
 let flush_ns = ref 0
 let fence_ns = ref 0
 
-(* Calibrated spin: iterations per nanosecond, measured once. *)
+(* Calibrated spin: iterations per nanosecond, measured once.  Forced from
+   function bodies, which pmlint flags in general; here [set] forces it on
+   the calling domain before any charge is on, so no spin can race the
+   first force. *)
 let iters_per_ns =
   lazy
     (let target = 5_000_000 in
@@ -25,6 +28,7 @@ let iters_per_ns =
      ignore (Sys.opaque_identity !x);
      let dt = Unix.gettimeofday () -. t0 in
      Float.max 0.01 (float_of_int target /. (dt *. 1e9)))
+[@@pm.lazy_safe "Latency.set forces it before any spin"]
 
 let spin_ns ns =
   if ns > 0 then begin

@@ -1,81 +1,47 @@
 (* Global mode switches for the simulated persistent memory.
 
-   [shadow] — when on, every persistent object maintains a second image
-   holding its last-flushed ("persisted") contents, and a simulated power
-   failure reverts all unflushed lines to that image.  Used by the crash and
-   durability tests; off for throughput benchmarks.
+   Every switch is one bit of the packed word [flags].  The substrate
+   accessors ({!Words}/{!Refs} get/set/clwb, [Pmem.sfence]) load that one
+   word and test one mask, whatever combination of features is active.
+   Modes are flipped only between experiment phases, never concurrently
+   with index operations, so a plain ref suffices.
 
-   These are plain refs: modes are flipped only between experiment phases,
-   never concurrently with index operations.
+   - [f_llc] — probe the LLC simulator on every access; owned by
+     {!Llc.set_enabled}.
+   - [f_dram] — clwb and sfence are free no-ops: the index runs as its
+     volatile DRAM ancestor.  The conversion-overhead ablation measures
+     exactly what the conversion added.
+   - [f_shadow] — new objects carry a shadow (last-flushed) image, and a
+     simulated power failure reverts every unflushed line to it.  Used by
+     the crash and durability tests; off for throughput benchmarks.
+   - [f_sanitize] — the PSan sanitizer is on.  Only a mode: it changes what
+     indexes flush ({!tracked}) and whether the sanitizer's per-domain
+     context ({!Sanhook}) is kept; its events arrive through {!Hook}.
+   - [f_hooked] — at least one {!Hook} layer is installed; owned by
+     {!Hook.set}.  The accessors dispatch events only under this bit. *)
 
-   Epoch flag word: the substrate accessors ({!Words}/{!Refs} get/set/clwb)
-   used to branch on up to three separate globals per access — the LLC
-   probe, DRAM mode, and shadow mode.  Modes only ever change between
-   experiment phases, so the accessor decision is recomputed *once per mode
-   flip* into a single packed word, [flags]; the hot path loads exactly one
-   word and tests one mask, whatever combination of simulator features is
-   active.  All setters below (and {!Llc.set_enabled}) refresh it. *)
-
-let f_llc = 1 (* probe the LLC simulator on every word/slot access *)
-let f_dram = 2 (* clwb/sfence are free no-ops (DRAM-ancestor ablation) *)
-let f_shadow = 4 (* new objects carry a shadow (last-flushed) image *)
-let f_sanitize = 8 (* route every substrate event through {!Sanhook} *)
-let f_inject = 16 (* route allocs/stores/flushes/fences through {!Fault} *)
-
+let f_llc = 1
+let f_dram = 2
+let f_shadow = 4
+let f_sanitize = 8
+let f_hooked = 16
 let flags = ref 0
 
 let set_flag bit on =
   flags := if on then !flags lor bit else !flags land lnot bit
 
-let shadow = ref false
-let shadow_enabled () = !shadow
-
-let set_shadow b =
-  shadow := b;
-  set_flag f_shadow b
-
-(* [dram] — when on, clwb and sfence become free no-ops: the index runs as
-   its volatile DRAM ancestor.  Used by the conversion-overhead ablation
-   (the RECIPE thesis is that converted indexes inherit the DRAM index's
-   performance; this measures exactly what the conversion added). *)
-let dram = ref false
-let dram_enabled () = !dram
-
-let set_dram b =
-  dram := b;
-  set_flag f_dram b
-
-(* [sanitize] — when on, every substrate access additionally reports to the
-   hook table in {!Sanhook}; [lib/psan] installs handlers there and turns
-   the event stream into persistency-ordering and domain-race diagnostics.
-   Off, the accessors pay exactly one extra bit in the single [flags] test
-   they already perform. *)
-let sanitize = ref false
-let sanitize_enabled () = !sanitize
-
-let set_sanitize b =
-  sanitize := b;
-  set_flag f_sanitize b
-
-(* [inject] — when on, every allocation, store, flush and fence additionally
-   reports to the hook table in {!Fault}; [lib/faultinject] installs fault
-   plans there (crash at the k-th flush of a site, allocation failure, torn
-   lines).  Off, the accessors pay exactly one extra bit in the single
-   [flags] test they already perform — the same bargain as [sanitize]. *)
-let inject = ref false
-let inject_enabled () = !inject
-
-let set_inject b =
-  inject := b;
-  set_flag f_inject b
+let[@inline] on bit = !flags land bit <> 0
+let shadow_enabled () = on f_shadow
+let set_shadow b = set_flag f_shadow b
+let dram_enabled () = on f_dram
+let set_dram b = set_flag f_dram b
+let sanitize_enabled () = on f_sanitize
+let set_sanitize b = set_flag f_sanitize b
 
 (* Shadow and sanitize mode both need indexes to flush lines they would
    skip as unobservable in plain fast mode (e.g. still-empty pointer
    arrays): shadow because the durability test checks for dirty objects,
    sanitize because unflushed allocations are exactly what diagnostic #1
    reports at the next publication. *)
-let tracked () = !shadow || !sanitize
-
-(* The LLC probe bit is owned by {!Llc.set_enabled}; it lives here so the
-   accessors test one word for every mode. *)
+let tracked () = on (f_shadow lor f_sanitize)
 let set_llc_probe b = set_flag f_llc b

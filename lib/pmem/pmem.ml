@@ -25,22 +25,21 @@ module Refs = Refs
 module Line_id = Line_id
 module Latency = Latency
 module Sanhook = Sanhook
-module Fault = Fault
+module Hook = Hook
 
 (** Store fence: orders preceding flushes before subsequent stores.  In this
     simulator flushes apply synchronously, so the fence only counts — the
     counts are the [mfence] column of Fig 4c/4d and Table 4.  [site]
     attributes the fence to an index × structural location. *)
 let sfence ?site () =
-  if not !Mode.dram then
-    if !Mode.flags land Mode.f_sanitize <> 0 && Sanhook.should_drop_sfence site
-    then () (* mutation test: this fence instruction is "deleted" *)
-    else begin
-      if !Mode.flags land Mode.f_inject <> 0 then (!Fault.h).f_sfence site;
-      Stats.record_sfence ?site ();
-      Latency.on_fence ();
-      if !Mode.flags land Mode.f_sanitize <> 0 then (!Sanhook.h).h_sfence site
-    end
+  let f = !Mode.flags in
+  if
+    f land (Mode.f_dram lor Mode.f_hooked) = 0
+    || (f land Mode.f_dram = 0 && not ((!Hook.h).sfence site))
+  then begin
+    Stats.record_sfence ?site ();
+    Latency.on_fence ()
+  end
 
 (** Flush a word and fence — the conversion action of RECIPE Condition #1. *)
 let flush_word ?site w i =
@@ -58,18 +57,18 @@ let simulate_power_failure () =
   Tracking.revert_all ();
   (* Post-failure, every surviving line equals its persisted image: the
      sanitizer resets its per-line state machine and pending sets. *)
-  if !Mode.flags land Mode.f_sanitize <> 0 then (!Sanhook.h).h_quiesce ()
+  if !Mode.flags land Mode.f_hooked <> 0 then (!Hook.h).quiesce ()
 
 (** Write back every dirty line (a clean checkpoint between test phases). *)
 let persist_everything () =
   Tracking.persist_all ();
-  if !Mode.flags land Mode.f_sanitize <> 0 then (!Sanhook.h).h_quiesce ()
+  if !Mode.flags land Mode.f_hooked <> 0 then (!Hook.h).quiesce ()
 
 (** Cross-domain join edge for the sanitizer's race check: call right after
     [Domain.join] so the joining domain is credited with everything the
-    joined domain wrote.  A no-op unless sanitize mode is on. *)
+    joined domain wrote.  A no-op unless a {!Hook} layer is installed. *)
 let sanitize_sync () =
-  if !Mode.flags land Mode.f_sanitize <> 0 then (!Sanhook.h).h_sync ()
+  if !Mode.flags land Mode.f_hooked <> 0 then (!Hook.h).sync ()
 
 (** Names of objects with unflushed lines — must be empty at operation
     boundaries for the durability test of §5 to pass. *)

@@ -37,12 +37,6 @@ let slots_per_line = 8
 let chunk_bits = 7
 let chunk_size = 1 lsl chunk_bits
 
-type 'a shadow_state = {
-  image : 'a array;
-  dirty : int Atomic.t array; (* flat bitset, one bit per line *)
-  registered : bool Atomic.t;
-}
-
 type 'a repr =
   | Flat of 'a array array (* plain chunked slots: get/set only *)
   | Boxed of 'a Atomic.t array array (* one Atomic cell per slot *)
@@ -52,7 +46,7 @@ type 'a t = {
   base_line : int;
   len : int;
   repr : 'a repr;
-  shadow : 'a shadow_state option;
+  shadow : 'a Words.shadow_state option;
 }
 
 let line_of_index i = i lsr 3
@@ -95,42 +89,17 @@ let write_slot t i v =
            (i land (chunk_size - 1)))
         v
 
-let rec register t sh =
-  if Atomic.compare_and_set sh.registered false true then
-    Tracking.register
-      {
-        Tracking.name = t.name;
-        is_dirty = (fun () -> Words.bitset_any sh.dirty);
-        revert = (fun () -> revert t sh);
-        persist = (fun () -> persist t sh);
-        unregister = (fun () -> Atomic.set sh.registered false);
-      }
-
-and revert t sh =
-  Words.bitset_iter sh.dirty (fun l ->
-      let lo = l * slots_per_line in
-      let hi = min t.len (lo + slots_per_line) in
-      for i = lo to hi - 1 do
-        write_slot t i sh.image.(i)
-      done;
-      Words.bitset_unset sh.dirty l)
-
-and persist t sh =
-  Words.bitset_iter sh.dirty (fun l ->
-      let lo = l * slots_per_line in
-      let hi = min t.len (lo + slots_per_line) in
-      for i = lo to hi - 1 do
-        sh.image.(i) <- read_slot t i
-      done;
-      Words.bitset_unset sh.dirty l)
-
 let mark_dirty t sh line =
-  Words.bitset_set sh.dirty line;
-  if not (Atomic.get sh.registered) then register t sh
+  Words.bitset_set sh.Words.dirty line;
+  if not (Atomic.get sh.Words.registered) then
+    Words.shadow_register t.name t.len (read_slot t) (write_slot t) sh
 
 let make ?(name = "refs") ~atomic len init =
   if len <= 0 then invalid_arg "Refs.make: length must be positive";
-  if !Mode.flags land Mode.f_inject <> 0 then (!Fault.h).f_alloc name;
+  let lines = n_lines len in
+  let base_line = Line_id.fresh lines in
+  if !Mode.flags land Mode.f_hooked <> 0 then
+    (!Hook.h).alloc name base_line lines;
   let n_chunks = (len + chunk_size - 1) / chunk_size in
   let chunk_len c = min chunk_size (len - (c * chunk_size)) in
   let repr =
@@ -140,22 +109,11 @@ let make ?(name = "refs") ~atomic len init =
              Array.init (chunk_len c) (fun _ -> Atomic.make init)))
     else Flat (Array.init n_chunks (fun c -> Array.make (chunk_len c) init))
   in
-  let lines = n_lines len in
-  let shadow =
-    if Mode.shadow_enabled () then
-      Some
-        {
-          image = Array.make len init;
-          dirty = Words.bitset_make lines true;
-          registered = Atomic.make false;
-        }
-    else None
-  in
-  let t = { name; base_line = Line_id.fresh lines; len; repr; shadow } in
+  let t = { name; base_line; len; repr; shadow = Words.shadow_make len init } in
   Stats.add_allocation ~lines ~words:len;
-  if !Mode.flags land Mode.f_sanitize <> 0 then
-    (!Sanhook.h).h_alloc name t.base_line lines;
-  (match t.shadow with Some sh -> register t sh | None -> ());
+  (match t.shadow with
+  | Some sh -> Words.shadow_register name len (read_slot t) (write_slot t) sh
+  | None -> ());
   t
 
 let[@inline] probe_llc t i =
@@ -165,33 +123,29 @@ let[@inline] probe_llc t i =
 (* A slot is a release/acquire point iff the object is [~atomic:true]. *)
 let is_atomic t = match t.repr with Boxed _ -> true | Flat _ -> false
 
-let san_load t i = (!Sanhook.h).h_load t.name t.base_line i (is_atomic t)
-let san_store t i = (!Sanhook.h).h_store t.name t.base_line i (is_atomic t)
-
-(* Fault-injection store reporter — see {!Words.inject_store}. *)
-let inject_store t i v =
-  let persist =
-    match t.shadow with
-    | Some sh -> fun () -> sh.image.(i) <- v
-    | None -> ignore
-  in
-  (!Fault.h).f_store (t.base_line + line_of_index i) persist
+(* {!Hook} store reporter — see {!Words.hook_store}. *)
+let hook_store t i v =
+  (!Hook.h).store t.name t.base_line i (is_atomic t)
+    (Words.shadow_persist t.shadow i v)
 
 let get t i =
   probe_llc t i;
   (* Read first, report second — see {!Words.get}. *)
   let v = read_slot t i in
-  if !Mode.flags land Mode.f_sanitize <> 0 then san_load t i;
+  if !Mode.flags land Mode.f_hooked <> 0 then
+    (!Hook.h).load t.name t.base_line i (is_atomic t);
   v
+
+let dirty_line t i =
+  match t.shadow with
+  | None -> ()
+  | Some sh -> mark_dirty t sh (line_of_index i)
 
 let set t i v =
   probe_llc t i;
-  if !Mode.flags land Mode.f_sanitize <> 0 then san_store t i;
+  if !Mode.flags land Mode.f_hooked <> 0 then hook_store t i v;
   write_slot t i v;
-  (match t.shadow with
-  | None -> ()
-  | Some sh -> mark_dirty t sh (line_of_index i));
-  if !Mode.flags land Mode.f_inject <> 0 then inject_store t i v
+  dirty_line t i
 
 (* Physical-equality CAS: slots hold pointers, and pointer identity is what a
    hardware CAS on an 8-byte pointer compares.  Only legal on [~atomic:true]
@@ -209,57 +163,34 @@ let cas t i ~expected ~desired =
           (Printf.sprintf "Refs.%s: cas on a flat (~atomic:false) object"
              t.name)
   in
-  let op () = Atomic.compare_and_set cell expected desired in
-  let ok =
-    if !Mode.flags land Mode.f_sanitize <> 0 then
-      (!Sanhook.h).h_rmw t.name t.base_line i op
-    else op ()
+  let op () =
+    let ok = Atomic.compare_and_set cell expected desired in
+    if ok then dirty_line t i;
+    ok
   in
-  (if ok then begin
-     (match t.shadow with
-     | None -> ()
-     | Some sh -> mark_dirty t sh (line_of_index i));
-     if !Mode.flags land Mode.f_inject <> 0 then inject_store t i desired
-   end);
-  ok
+  if !Mode.flags land Mode.f_hooked <> 0 then
+    (!Hook.h).rmw t.name t.base_line i op
+      (Words.shadow_persist t.shadow i desired)
+  else op ()
 
 (** Sanitizer publication point — see {!Words.sanitize_publish}. *)
 let sanitize_publish ?site t i =
-  if !Mode.flags land Mode.f_sanitize <> 0 then
-    (!Sanhook.h).h_publish t.name t.base_line i site
+  if !Mode.flags land Mode.f_hooked <> 0 then
+    (!Hook.h).publish t.name t.base_line i site
 
 (** Whether the line containing slot [i] has unpersisted stores.
     Conservatively [true] when shadow tracking is off — callers deciding
     whether a flush is still needed must then flush. *)
-let line_dirty t i =
-  match t.shadow with
-  | Some sh -> Words.bitset_mem sh.dirty (line_of_index i)
-  | None -> true
+let line_dirty t i = Words.shadow_line_dirty t.shadow i
 
-(** Flush the cache line containing slot [i].  [site] attributes the flush
-    to an index × structural location in the {!Obs} registry. *)
+(** Flush the cache line containing slot [i] — see {!Words.clwb}. *)
 let clwb ?site t i =
-  if !Mode.flags land Mode.f_dram <> 0 then ()
-  else if
-    !Mode.flags land Mode.f_sanitize <> 0 && Sanhook.should_drop_clwb site
-  then () (* mutation test: this flush instruction is "deleted" *)
-  else begin
-    if !Mode.flags land Mode.f_inject <> 0 then
-      (!Fault.h).f_clwb site (t.base_line + line_of_index i);
+  if Words.flush_executes t.name t.base_line i site then begin
     Stats.record_clwb ?site ();
     Latency.on_flush ();
-    if !Mode.flags land Mode.f_sanitize <> 0 then
-      (!Sanhook.h).h_clwb t.name t.base_line i site;
     match t.shadow with
     | None -> ()
-    | Some sh ->
-        let l = line_of_index i in
-        let lo = l * slots_per_line in
-        let hi = min t.len (lo + slots_per_line) in
-        for j = lo to hi - 1 do
-          sh.image.(j) <- read_slot t j
-        done;
-        Words.bitset_unset sh.dirty l
+    | Some sh -> Words.shadow_writeback t.len (read_slot t) sh (line_of_index i)
   end
 
 let clwb_all ?site t =

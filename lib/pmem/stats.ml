@@ -3,38 +3,24 @@
    The paper (Fig 4c/4d, Table 4) reports clwb and mfence counts per
    operation; these counters are the source of those numbers.
 
-   This module is now a thin compatibility façade over the {!Obs} metrics
-   registry: each counter is a per-domain *sharded* counter, so
-   multi-threaded YCSB runs keep counting without the cross-domain
-   contention the old single block of atomics had (which restricted counter
-   experiments to single-threaded probes).  [record_clwb]/[record_sfence]
-   additionally attribute the event to an {!Obs.Site.t} — index ×
-   structural location — feeding the per-site breakdown of the bench JSON
-   export.  Every event lands in exactly one site ({!Obs.Site.untagged}
-   when the caller passes none), so the sum over sites always equals the
-   global totals here. *)
+   A thin façade over the {!Obs} metrics registry.  Flushes and fences are
+   counted once, in the per-domain sharded counters of the {!Obs.Site} they
+   are attributed to ({!Obs.Site.untagged} when the caller passes none);
+   the totals in {!snapshot} are the sums over every site, so "site sum =
+   Stats total" holds by construction.  Allocation and crash-point counts
+   are plain registry counters. *)
 
-let clwb = Obs.counter "pmem.clwb"
-let sfence = Obs.counter "pmem.sfence"
 let lines_allocated = Obs.counter "pmem.lines_allocated"
 let words_allocated = Obs.counter "pmem.words_allocated"
 let crash_points = Obs.counter "pmem.crash_points"
 let crashes = Obs.counter "pmem.crashes"
-
-let incr_clwb () = Obs.Counter.incr clwb
-let incr_sfence () = Obs.Counter.incr sfence
 let incr_crash_points () = Obs.Counter.incr crash_points
 let incr_crashes () = Obs.Counter.incr crashes
 
-(** Count a flush / fence and attribute it to [site] (default: the
-    untagged catch-all). *)
-let record_clwb ?site () =
-  Obs.Counter.incr clwb;
-  Obs.Site.hit_clwb (match site with Some s -> s | None -> Obs.Site.untagged)
+(** Count a flush / fence at [site] (default: the untagged catch-all). *)
+let record_clwb ?(site = Obs.Site.untagged) () = Obs.Site.hit_clwb site
 
-let record_sfence ?site () =
-  Obs.Counter.incr sfence;
-  Obs.Site.hit_sfence (match site with Some s -> s | None -> Obs.Site.untagged)
+let record_sfence ?(site = Obs.Site.untagged) () = Obs.Site.hit_sfence site
 
 let add_allocation ~lines ~words =
   Obs.Counter.add lines_allocated lines;
@@ -52,8 +38,8 @@ type snapshot = {
 
 let snapshot () =
   {
-    s_clwb = Obs.Counter.value clwb;
-    s_sfence = Obs.Counter.value sfence;
+    s_clwb = Obs.Site.clwb_total ();
+    s_sfence = Obs.Site.sfence_total ();
     s_lines_allocated = Obs.Counter.value lines_allocated;
     s_words_allocated = Obs.Counter.value words_allocated;
     s_crash_points = Obs.Counter.value crash_points;
@@ -72,8 +58,7 @@ let diff a b =
   }
 
 let reset () =
-  Obs.Counter.reset clwb;
-  Obs.Counter.reset sfence;
+  Obs.Site.reset_flush_counts ();
   Obs.Counter.reset lines_allocated;
   Obs.Counter.reset words_allocated;
   Obs.Counter.reset crash_points;

@@ -45,8 +45,9 @@ let words_per_line = 8
    clean line, so the CAS loops below are all but uncontended. *)
 let lines_per_cell = 32
 
-type shadow_state = {
-  image : int array; (* last-flushed contents *)
+(* Shared with {!Refs}, so generic in the element type. *)
+type 'a shadow_state = {
+  image : 'a array; (* last-flushed contents *)
   dirty : int Atomic.t array; (* bitset, one bit per line *)
   registered : bool Atomic.t;
 }
@@ -58,7 +59,7 @@ type t = {
   data : int array; (* flat plain words — the fast path *)
   atomic_idx : int array; (* sorted indices of declared atomic words *)
   atomic_cells : int Atomic.t array; (* parallel to [atomic_idx] *)
-  shadow : shadow_state option;
+  shadow : int shadow_state option;
 }
 
 let line_of_index i = i lsr 3
@@ -167,36 +168,59 @@ let write_word t i v =
   | Some c -> Atomic.set c v
   | None -> Array.unsafe_set t.data i v
 
-(* --- shadow (crash/durability) machinery -------------------------------- *)
+(* --- shadow (crash/durability) machinery --------------------------------
 
-let rec register t sh =
+   Generic over the element type: the object passes how to [read] and
+   [write] its live slots, so {!Refs} shares every line of it. *)
+
+let shadow_make len init =
+  if Mode.shadow_enabled () then
+    Some
+      {
+        image = Array.make len init;
+        dirty = bitset_make (n_lines len) true;
+        registered = Atomic.make false;
+      }
+  else None
+
+(* [f] over every index of line [l] of an object of [len] slots. *)
+let iter_line len l f =
+  let lo = l * words_per_line in
+  for i = lo to min len (lo + words_per_line) - 1 do
+    f i
+  done
+
+(* Write line [l]'s live contents into the image: the line is persisted. *)
+let shadow_writeback len read sh l =
+  iter_line len l (fun i -> sh.image.(i) <- read i);
+  bitset_unset sh.dirty l
+
+let shadow_register name len read write sh =
   if Atomic.compare_and_set sh.registered false true then
     Tracking.register
       {
-        Tracking.name = t.name;
+        Tracking.name;
         is_dirty = (fun () -> bitset_any sh.dirty);
-        revert = (fun () -> revert t sh);
-        persist = (fun () -> persist t sh);
+        revert =
+          (fun () ->
+            bitset_iter sh.dirty (fun l ->
+                iter_line len l (fun i -> write i sh.image.(i));
+                bitset_unset sh.dirty l));
+        persist = (fun () -> bitset_iter sh.dirty (shadow_writeback len read sh));
         unregister = (fun () -> Atomic.set sh.registered false);
       }
 
-and revert t sh =
-  bitset_iter sh.dirty (fun l ->
-      let lo = l * words_per_line in
-      let hi = min t.len (lo + words_per_line) in
-      for i = lo to hi - 1 do
-        write_word t i sh.image.(i)
-      done;
-      bitset_unset sh.dirty l)
+(* The torn-line primitive of the fault plans: write just one store's
+   value into the image. *)
+let shadow_persist shadow i v =
+  match shadow with Some sh -> fun () -> sh.image.(i) <- v | None -> ignore
 
-and persist t sh =
-  bitset_iter sh.dirty (fun l ->
-      let lo = l * words_per_line in
-      let hi = min t.len (lo + words_per_line) in
-      for i = lo to hi - 1 do
-        sh.image.(i) <- read_word t i
-      done;
-      bitset_unset sh.dirty l)
+let shadow_line_dirty shadow i =
+  match shadow with
+  | Some sh -> bitset_mem sh.dirty (line_of_index i)
+  | None -> true
+
+let register t sh = shadow_register t.name t.len (read_word t) (write_word t) sh
 
 let mark_dirty t sh line =
   bitset_set sh.dirty line;
@@ -204,7 +228,10 @@ let mark_dirty t sh line =
 
 let make ?(name = "words") ?(atomic_words = []) len init =
   if len <= 0 then invalid_arg "Words.make: length must be positive";
-  if !Mode.flags land Mode.f_inject <> 0 then (!Fault.h).f_alloc name;
+  let lines = n_lines len in
+  let base_line = Line_id.fresh lines in
+  if !Mode.flags land Mode.f_hooked <> 0 then
+    (!Hook.h).alloc name base_line lines;
   let atomic_idx =
     match atomic_words with
     | [] -> no_atomics
@@ -218,31 +245,12 @@ let make ?(name = "words") ?(atomic_words = []) len init =
         a
   in
   let atomic_cells = Array.map (fun _ -> Atomic.make init) atomic_idx in
-  let lines = n_lines len in
-  let shadow =
-    if Mode.shadow_enabled () then
-      Some
-        {
-          image = Array.make len init;
-          dirty = bitset_make lines true;
-          registered = Atomic.make false;
-        }
-    else None
-  in
+  let shadow = shadow_make len init in
   let t =
-    {
-      name;
-      base_line = Line_id.fresh lines;
-      len;
-      data = Array.make len init;
-      atomic_idx;
-      atomic_cells;
-      shadow;
-    }
+    { name; base_line; len; data = Array.make len init; atomic_idx;
+      atomic_cells; shadow }
   in
   Stats.add_allocation ~lines ~words:len;
-  if !Mode.flags land Mode.f_sanitize <> 0 then
-    (!Sanhook.h).h_alloc name t.base_line lines;
   (* Allocation stores are in-cache only until explicitly flushed. *)
   (match t.shadow with Some sh -> register t sh | None -> ());
   t
@@ -258,27 +266,17 @@ let[@inline] probe_llc t i =
   if !Mode.flags land Mode.f_llc <> 0 then
     Llc.access (t.base_line + line_of_index i)
 
-(* Sanitizer event reporters — out of line so the fast path below stays a
+(* {!Hook} event reporters — out of line, so the fast path below stays a
    flags test + branch.  A word is a release/acquire point iff it was
    declared in [~atomic_words]. *)
 
 let is_atomic_word t i = atomic_cell t i <> None
 
-let san_load t i = (!Sanhook.h).h_load t.name t.base_line i (is_atomic_word t i)
+let hook_store t i v =
+  (!Hook.h).store t.name t.base_line i (is_atomic_word t i)
+    (shadow_persist t.shadow i v)
 
-let san_store t i =
-  (!Sanhook.h).h_store t.name t.base_line i (is_atomic_word t i)
-
-(* Fault-injection store reporter — out of line like the sanitizer's, so the
-   fast path below stays a flags test + branch.  The persist closure writes
-   just this store's value into the shadow image: the torn-line primitive. *)
-let inject_store t i v =
-  let persist =
-    match t.shadow with
-    | Some sh -> fun () -> sh.image.(i) <- v
-    | None -> ignore
-  in
-  (!Fault.h).f_store (t.base_line + line_of_index i) persist
+let hook_load t i = (!Hook.h).load t.name t.base_line i (is_atomic_word t i)
 
 let get t i =
   probe_llc t i;
@@ -290,35 +288,32 @@ let get t i =
     if t.atomic_idx == no_atomics then Array.unsafe_get t.data i
     else read_word t i
   in
-  if !Mode.flags land Mode.f_sanitize <> 0 then san_load t i;
+  if !Mode.flags land Mode.f_hooked <> 0 then hook_load t i;
   v
+
+let dirty_line t i =
+  match t.shadow with
+  | None -> ()
+  | Some sh -> mark_dirty t sh (line_of_index i)
 
 let set t i v =
   probe_llc t i;
-  if !Mode.flags land Mode.f_sanitize <> 0 then san_store t i;
+  if !Mode.flags land Mode.f_hooked <> 0 then hook_store t i v;
   if t.atomic_idx == no_atomics then Array.unsafe_set t.data i v
   else write_word t i v;
-  (match t.shadow with
-  | None -> ()
-  | Some sh -> mark_dirty t sh (line_of_index i));
-  if !Mode.flags land Mode.f_inject <> 0 then inject_store t i v
+  dirty_line t i
 
 let cas t i ~expected ~desired =
   probe_llc t i;
   let cell = atomic_cell_exn t i in
-  let op () = Atomic.compare_and_set cell expected desired in
-  let ok =
-    if !Mode.flags land Mode.f_sanitize <> 0 then
-      (!Sanhook.h).h_rmw t.name t.base_line i op
-    else op ()
+  let op () =
+    let ok = Atomic.compare_and_set cell expected desired in
+    if ok then dirty_line t i;
+    ok
   in
-  (if ok then begin
-     (match t.shadow with
-     | None -> ()
-     | Some sh -> mark_dirty t sh (line_of_index i));
-     if !Mode.flags land Mode.f_inject <> 0 then inject_store t i desired
-   end);
-  ok
+  if !Mode.flags land Mode.f_hooked <> 0 then
+    (!Hook.h).rmw t.name t.base_line i op (shadow_persist t.shadow i desired)
+  else op ()
 
 let fetch_add t i delta =
   probe_llc t i;
@@ -326,57 +321,50 @@ let fetch_add t i delta =
   let v = ref 0 in
   let op () =
     v := Atomic.fetch_and_add cell delta;
+    dirty_line t i;
     true
   in
-  if !Mode.flags land Mode.f_sanitize <> 0 then
-    ignore ((!Sanhook.h).h_rmw t.name t.base_line i op)
-  else ignore (op ());
-  (match t.shadow with
-  | None -> ()
-  | Some sh -> mark_dirty t sh (line_of_index i));
+  (if !Mode.flags land Mode.f_hooked <> 0 then
+     let persist () =
+       match t.shadow with
+       | Some sh -> sh.image.(i) <- !v + delta
+       | None -> ()
+     in
+     ignore ((!Hook.h).rmw t.name t.base_line i op persist : bool)
+   else ignore (op () : bool));
   !v
 
 (** Sanitizer publication point: called by the [Recipe.Persist] commit
     combinators right after their commit store, before the commit flush.
     The sanitizer checks that nothing the calling domain wrote earlier is
-    still unpersisted (RECIPE Condition #1/#2).  A no-op unless sanitize
-    mode is on. *)
+    still unpersisted (RECIPE Condition #1/#2).  A no-op unless a {!Hook}
+    layer is installed. *)
 let sanitize_publish ?site t i =
-  if !Mode.flags land Mode.f_sanitize <> 0 then
-    (!Sanhook.h).h_publish t.name t.base_line i site
+  if !Mode.flags land Mode.f_hooked <> 0 then
+    (!Hook.h).publish t.name t.base_line i site
 
 (** Whether the line containing word [i] has unpersisted stores.
     Conservatively [true] when shadow tracking is off — callers deciding
     whether a flush is still needed must then flush. *)
-let line_dirty t i =
-  match t.shadow with
-  | Some sh -> bitset_mem sh.dirty (line_of_index i)
-  | None -> true
+let line_dirty t i = shadow_line_dirty t.shadow i
 
-(** Flush the cache line containing word [i].  [site] attributes the flush
-    to an index × structural location in the {!Obs} registry. *)
+(* Whether a flush of word [i] executes: not under DRAM mode, and not
+   dropped by a {!Hook} layer (which may also raise instead). *)
+let[@inline] flush_executes name base i site =
+  let f = !Mode.flags in
+  f land (Mode.f_dram lor Mode.f_hooked) = 0
+  || (f land Mode.f_dram = 0 && not ((!Hook.h).clwb name base i site))
+
+(** Flush the cache line containing word [i]: count it once at [site] (an
+    index × structural location in the {!Obs} registry), charge it, write
+    the line back. *)
 let clwb ?site t i =
-  if !Mode.flags land Mode.f_dram <> 0 then ()
-  else if
-    !Mode.flags land Mode.f_sanitize <> 0 && Sanhook.should_drop_clwb site
-  then () (* mutation test: this flush instruction is "deleted" *)
-  else begin
-    if !Mode.flags land Mode.f_inject <> 0 then
-      (!Fault.h).f_clwb site (t.base_line + line_of_index i);
+  if flush_executes t.name t.base_line i site then begin
     Stats.record_clwb ?site ();
     Latency.on_flush ();
-    if !Mode.flags land Mode.f_sanitize <> 0 then
-      (!Sanhook.h).h_clwb t.name t.base_line i site;
     match t.shadow with
     | None -> ()
-    | Some sh ->
-        let l = line_of_index i in
-        let lo = l * words_per_line in
-        let hi = min t.len (lo + words_per_line) in
-        for j = lo to hi - 1 do
-          sh.image.(j) <- read_word t j
-        done;
-        bitset_unset sh.dirty l
+    | Some sh -> shadow_writeback t.len (read_word t) sh (line_of_index i)
   end
 
 (** Flush every line of the object (e.g. right after allocation). *)

@@ -10,10 +10,10 @@
    substrate event, so a missing flush becomes a deterministic, site-
    attributed report on the very operation that committed it.
 
-   Mechanics: [enable] sets [Pmem.Mode.f_sanitize] and installs handlers in
-   {!Pmem.Sanhook} (and {!Util.Lock}); the substrate then reports every
-   allocation, store, load, clwb, sfence, commit-publication, crash, and
-   quiesce point.  The engine maintains:
+   Mechanics: [enable] sets [Pmem.Mode.f_sanitize] and installs the
+   sanitizer layer of the {!Pmem.Hook} seam (and {!Util.Lock} hooks); the
+   substrate then reports every allocation, store, load, clwb, sfence,
+   commit-publication, crash, and quiesce point.  The engine maintains:
 
    - a per-cache-line persistency state machine
        dirty --clwb--> flushed-unfenced --sfence (by the writing domain)-->
@@ -218,7 +218,7 @@ let on_alloc name base n_lines =
     Hashtbl.replace d.pending l ()
   done
 
-let on_store name base i release =
+let on_store name base i release _persist =
   ignore (Atomic.fetch_and_add events 1);
   let d = dom () in
   let line = base + (i lsr 3) in
@@ -258,7 +258,7 @@ let on_store name base i release =
    a reader of [Words.get]/[Refs.get] joins the clock *after* its read, so
    the two orderings together close the publish race on the engine itself.
    A successful RMW is a release store; a failed CAS is an acquire load. *)
-let on_rmw name base i op =
+let on_rmw name base i op _persist =
   ignore (Atomic.fetch_and_add events 1);
   let d = dom () in
   let line = base + (i lsr 3) in
@@ -324,6 +324,8 @@ let on_load name base i acquire =
                 wid w.wdom d.did)
          end))
 
+(* The sanitizer observes flushes and fences; it never drops one (both
+   handlers answer [false] to the seam). *)
 let on_clwb name base i site =
   ignore (Atomic.fetch_and_add events 1);
   let d = dom () in
@@ -342,7 +344,8 @@ let on_clwb name base i site =
         r.reported <- true;
         diag k_flush ~store_site:site ~expose_site:None ~obj:r.obj ~line
           ~domain:d.did "clwb of an already-persisted line"
-      end)
+      end);
+  false
 
 let on_sfence site =
   ignore (Atomic.fetch_and_add events 1);
@@ -369,7 +372,8 @@ let on_sfence site =
         | _ -> ())
       d.pending;
     List.iter (fun l -> Hashtbl.remove d.pending l) !done_
-  end
+  end;
+  false
 
 let on_publish name base i site =
   ignore (Atomic.fetch_and_add events 1);
@@ -488,27 +492,27 @@ let enable ?(races = true) () =
     invalid_arg "Psan.enable: sanitize mode is meaningless under DRAM mode";
   races_on := races;
   reset_state ();
-  Pmem.Sanhook.install
-    {
-      Pmem.Sanhook.h_alloc = on_alloc;
-      h_store = on_store;
-      h_load = on_load;
-      h_rmw = on_rmw;
-      h_clwb = on_clwb;
-      h_sfence = on_sfence;
-      h_publish = on_publish;
-      h_crash = on_crash;
-      h_quiesce = on_quiesce;
-      h_sync = on_sync;
-    };
+  Pmem.Hook.set Pmem.Hook.Sanitize
+    (Some
+       {
+         Pmem.Hook.alloc = on_alloc;
+         store = on_store;
+         load = on_load;
+         rmw = on_rmw;
+         clwb = on_clwb;
+         sfence = on_sfence;
+         publish = on_publish;
+         crash = on_crash;
+         quiesce = on_quiesce;
+         sync = on_sync;
+       });
   Util.Lock.set_hooks ~acquired:on_lock_acquired ~released:on_lock_released;
   Pmem.Mode.set_sanitize true
 
 let disable () =
   Pmem.Mode.set_sanitize false;
   Util.Lock.clear_hooks ();
-  Pmem.Sanhook.uninstall ();
-  Pmem.Sanhook.clear_faults ()
+  Pmem.Hook.set Pmem.Hook.Sanitize None
 
 (** [with_sanitizer f] runs [f] under the sanitizer, restoring the previous
     (off) state whatever happens.  Diagnostics are left in {!Obs.Diag} for

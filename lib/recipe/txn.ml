@@ -75,16 +75,13 @@ let st_committed = 2
 exception Overflow
 (** The transaction dirtied more than [max_entries] distinct lines. *)
 
-(** Test-only mutation: "delete" the commit-record fence.  The flip still
-    stores [Committed] (the server keeps working and acking) but skips the
-    flush + fence, so the *persisted* state stays [Prepared] until some
-    later WAL write happens to flush the line — recovery then rolls an
-    acknowledged transaction back, which the crash campaign must report as
-    lost acked batches. *)
-let mutate_drop_commit_fence = ref false
-
 let s_wal = Obs.Site.v ~index:"txn" "wal/entries"
 let s_state = Obs.Site.v ~index:"txn" "wal/state"
+
+(* The commit flip's own flush and fence, apart from the other state-word
+   writes so that a mutation test can drop exactly this pair
+   ({!Pmem.Hook.drop}). *)
+let s_commit = Obs.Site.v ~index:"txn" "wal/commit"
 let s_rollback = Obs.Site.v ~index:"txn" "wal/rollback"
 let s_decision = Obs.Site.v ~index:"txn" "decision"
 
@@ -350,16 +347,13 @@ let retire t =
 
 (** Step 3: the commit point.  The caller has already flushed and fenced
     every data line (step 2); this flips the record and makes the flip
-    durable with the commit-record fence — the fence the
-    {!mutate_drop_commit_fence} mutation deletes and the crash campaign
-    must catch. *)
+    durable with the commit-record fence — the fence a mutation test drops
+    at [txn/wal/commit] and the crash campaign must catch. *)
 let flip_commit t =
   let w = t.words in
   Pmem.Words.set w state_word st_committed;
-  if not !mutate_drop_commit_fence then begin
-    Pmem.Words.clwb ~site:s_state w state_word;
-    Pmem.sfence ~site:s_state ()
-  end
+  Pmem.Words.clwb ~site:s_commit w state_word;
+  Pmem.sfence ~site:s_commit ()
 (* [t.restores] is deliberately left in place until the next begin_txn
    clears it: if the flip's flush+fence was dropped (the mutation) the
    persisted state is still [Prepared], and recovery must be able to roll

@@ -11,6 +11,7 @@ type rule =
   | R2  (* publish hygiene: commit/publish without a dominating clwb *)
   | R3  (* fence hygiene: redundant or unreachable fences *)
   | R4  (* site hygiene: Obs.Site registration and usage *)
+  | R5  (* lazy hygiene: Lazy values shared across domains *)
   | Parse  (* the file could not be parsed at all *)
 
 let rule_id = function
@@ -18,6 +19,7 @@ let rule_id = function
   | R2 -> "R2"
   | R3 -> "R3"
   | R4 -> "R4"
+  | R5 -> "R5"
   | Parse -> "parse"
 
 (* One-line rule summaries for --rules and the report header. *)
@@ -36,6 +38,10 @@ let rule_doc = function
   | R4 ->
       "site hygiene: Obs.Site tags must be registered exactly once, used, \
        and ?site arguments must resolve to registered sites"
+  | R5 ->
+      "lazy hygiene: Lazy.is_val, or a module-level lazy forced from a \
+       function body; annotate [@@pm.lazy_safe \"why\"] on a binding that \
+       is provably forced before any domain can race on it"
   | Parse -> "the file could not be parsed"
 
 type t = { file : string; line : int; col : int; rule : rule; msg : string }

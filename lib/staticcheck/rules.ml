@@ -658,6 +658,77 @@ let r4_analyze ctx structure =
     env.defs
   end
 
+(* --- R5: lazy hygiene ------------------------------------------------------
+
+   OCaml 5's [Lazy] is not domain-safe.  [Lazy.is_val] is also true while
+   another domain is still forcing the value, and forcing a lazy that
+   another domain is forcing raises [CamlinternalLazy.Undefined].  So every
+   [Lazy.is_val] is flagged, and so is every [Lazy.force] of a module-level
+   [lazy] binding from inside a function body, where any domain may run
+   it.  A binding that is provably forced before any race says why:
+   [let x = lazy ... [@@pm.lazy_safe "reason"]]. *)
+
+let lazy_safe_attr = "pm.lazy_safe"
+
+let rec is_lazy (e : expression) =
+  match e.pexp_desc with
+  | Pexp_lazy _ -> true
+  | Pexp_constraint (e, _) -> is_lazy e
+  | _ -> false
+
+(* Module-level lazy bindings with no [pm.lazy_safe] reason. *)
+let unsafe_lazies structure =
+  List.concat_map
+    (fun item ->
+      match item.pstr_desc with
+      | Pstr_value (_, vbs) ->
+          List.filter_map
+            (fun vb ->
+              match vb.pvb_pat.ppat_desc with
+              | Ppat_var { txt; _ }
+              | Ppat_constraint ({ ppat_desc = Ppat_var { txt; _ }; _ }, _)
+                when is_lazy vb.pvb_expr
+                     && not (has_attr lazy_safe_attr vb.pvb_attributes) ->
+                  Some txt
+              | _ -> None)
+            vbs
+      | _ -> [])
+    structure
+
+let r5_check ctx structure =
+  let lazies = unsafe_lazies structure in
+  let in_fun = ref 0 in
+  let default = Ast_iterator.default_iterator in
+  let expr self (e : expression) =
+    (match e.pexp_desc with
+    | Pexp_ident { txt; loc }
+      when split_longident txt = Some ([ "Lazy" ], "is_val") ->
+        report ctx Finding.R5 loc
+          "Lazy.is_val is also true while another domain is still forcing \
+           the value; publish the finished value through an Atomic instead"
+    | Pexp_apply (f, [ (_, { pexp_desc = Pexp_ident { txt = Lident x; _ }; _ }) ])
+      when !in_fun > 0 && List.mem x lazies -> (
+        match head_ident f with
+        | Some ([ "Lazy" ], ("force" | "force_val")) ->
+            report ctx Finding.R5 e.pexp_loc
+              (Printf.sprintf
+                 "module-level lazy %s forced from a function body: two \
+                  domains forcing it at once raise \
+                  CamlinternalLazy.Undefined; force it at initialisation, \
+                  hold it in an Atomic, or annotate [@@pm.lazy_safe \"why\"]"
+                 x)
+        | _ -> ())
+    | _ -> ());
+    match e.pexp_desc with
+    | Pexp_fun _ | Pexp_function _ ->
+        incr in_fun;
+        default.expr self e;
+        decr in_fun
+    | _ -> default.expr self e
+  in
+  let it = { default with expr } in
+  it.structure it structure
+
 (* --- file entry point ------------------------------------------------------ *)
 
 let lint_structure ~file ~scope ~emit structure =
@@ -690,6 +761,7 @@ let lint_structure ~file ~scope ~emit structure =
           vb.pvb_expr
       end)
     bindings;
+  if ctx.scope.r5 then r5_check ctx structure;
   let defs = r4_analyze ctx structure in
   (defs, ctx.stats)
 

@@ -1,5 +1,5 @@
 (* pmlint fixture: a transaction commit-record flip whose flush + fence
-   was dropped (the [mutate_drop_commit_fence] bug class) — the state
+   was dropped (the bug class of the [txn/wal/commit] drop mutation) — the state
    word becomes visible as [Committed] without a dominating clwb, so the
    persisted record can stay [Prepared] and recovery rolls an
    acknowledged transaction back.  Parsed by the linter, never

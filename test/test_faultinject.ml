@@ -22,32 +22,38 @@ let with_env f = Fun.protect ~finally:teardown (fun () -> fresh_env (); f ())
 
 (* --- the off path -------------------------------------------------------
 
-   With hooks installed but inject mode off, no substrate accessor may call
-   them: the seam costs exactly the one bit in the flags test the accessors
-   already perform (the mirror of test_psan.ml's off-path assertion). *)
+   A fault layer installed and then removed must receive no further event:
+   with no layer left the seam's flag bit is clear and the accessors' one
+   flags test skips dispatch (the mirror of test_psan.ml's off-path
+   assertion). *)
 
 let test_off_path_untouched () =
   Faultinject.disarm ();
   let calls = ref 0 in
-  Pmem.Fault.install
-    {
-      Pmem.Fault.f_alloc = (fun _ -> incr calls);
-      f_store = (fun _ _ -> incr calls);
-      f_clwb = (fun _ _ -> incr calls);
-      f_sfence = (fun _ -> incr calls);
-    };
-  Fun.protect ~finally:Pmem.Fault.uninstall (fun () ->
-      let w = Pmem.Words.make ~name:"fi.off" 32 0 in
-      for i = 0 to 31 do
-        Pmem.Words.set w i (i + 1)
-      done;
-      Pmem.Words.clwb w 0;
-      Pmem.sfence ();
-      let t = Clht.create ~capacity:8 () in
-      for k = 1 to 64 do
-        ignore (Clht.insert t k k)
-      done);
-  Alcotest.(check int) "no hook calls with inject off" 0 !calls
+  Pmem.Hook.set Pmem.Hook.Fault
+    (Some
+       {
+         Pmem.Hook.noop with
+         alloc = (fun _ _ _ -> incr calls);
+         store = (fun _ _ _ _ _ -> incr calls);
+         clwb = (fun _ _ _ _ -> incr calls; false);
+         sfence = (fun _ -> incr calls; false);
+       });
+  Faultinject.disarm ();
+  Alcotest.(check bool)
+    "no layer left" false
+    (!Pmem.Mode.flags land Pmem.Mode.f_hooked <> 0);
+  let w = Pmem.Words.make ~name:"fi.off" 32 0 in
+  for i = 0 to 31 do
+    Pmem.Words.set w i (i + 1)
+  done;
+  Pmem.Words.clwb w 0;
+  Pmem.sfence ();
+  let t = Clht.create ~capacity:8 () in
+  for k = 1 to 64 do
+    ignore (Clht.insert t k k)
+  done;
+  Alcotest.(check int) "no hook calls after disarm" 0 !calls
 
 (* [count_events] reports the substrate event stream of a closure; two
    identical runs must see identical streams — the foundation of
@@ -110,7 +116,7 @@ let test_alloc_fail () =
       Faultinject.arm (Faultinject.Alloc_fail { k = 1 });
       (match Clht.create ~capacity:8 () with
       | _ -> Alcotest.fail "allocation unexpectedly succeeded"
-      | exception Pmem.Fault.Alloc_failed _ -> ());
+      | exception Pmem.Hook.Alloc_failed _ -> ());
       Alcotest.(check bool) "one-shot" false (Faultinject.armed ());
       let t = Clht.create ~capacity:8 () in
       ignore (Clht.insert t 1 1);

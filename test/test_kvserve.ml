@@ -739,6 +739,66 @@ let test_server_hash_partition () =
         (resp.Wire.replies = [ Wire.Done true; Wire.Unsupported; Wire.Found 15 ]);
       Server.stop srv)
 
+(* A key a hash table cannot hold (0, or an 8-byte key that decodes to a
+   negative integer) is answered [Bad_request] on the submitting domain,
+   on the queued and the direct path alike and inside a transaction; the
+   workers never see it, so the service keeps serving. *)
+let test_bad_keys_rejected () =
+  List.iter
+    (fun e ->
+      match e.Harness.Index.family with
+      | Harness.Index.Ordered _ -> ()
+      | Harness.Index.Hash _ ->
+          with_env (fun () ->
+              let cfg =
+                { Server.default_config with Server.shards = 2; batch = 4 }
+              in
+              let srv =
+                Server.start cfg
+                  (Array.init 2 (fun _ -> Harness.Index.partition e ()))
+              in
+              let status ops =
+                (Server.submit srv { Wire.rid = 3; ops }).Wire.status
+              in
+              List.iter
+                (fun bad ->
+                  List.iter
+                    (fun (what, ops) ->
+                      Alcotest.(check bool)
+                        (Printf.sprintf "%s: %s gets Bad_request"
+                           e.Harness.Index.name what)
+                        true
+                        (status ops = Wire.Bad_request))
+                    [
+                      ("get", [ Wire.Get bad ]);
+                      ("get beside a good key", [ Wire.Get (ik 7); Wire.Get bad ]);
+                      ("put", [ Wire.Put (bad, 1) ]);
+                      ("delete", [ Wire.Delete bad ]);
+                      ( "txn member",
+                        [ Wire.Txn [ Wire.Put (ik 8, 1); Wire.Put (bad, 2) ] ] );
+                    ])
+                [
+                  ik 0;
+                  "\xff\xff\xff\xff\xff\xff\xff\xfd";
+                  "\x40\x00\x00\x00\x00\x00\x00\x00";
+                ];
+              let resp =
+                Server.submit srv
+                  { Wire.rid = 4; ops = [ Wire.Put (ik 5, 15); Wire.Get (ik 5) ] }
+              in
+              Alcotest.(check bool)
+                (e.Harness.Index.name ^ ": still serving")
+                true
+                (resp.Wire.status = Wire.Ok
+                && resp.Wire.replies = [ Wire.Done true; Wire.Found 15 ]);
+              Alcotest.(check bool)
+                (e.Harness.Index.name ^ ": direct Get after the rejections")
+                true
+                ((Server.submit srv { Wire.rid = 5; ops = [ Wire.Get (ik 5) ] })
+                   .Wire.replies = [ Wire.Found 15 ]);
+              Server.stop srv))
+    Harness.Index.all
+
 (* --- the stats endpoint ---------------------------------------------------- *)
 
 let stats_fields conn rid =
@@ -932,6 +992,7 @@ let test_backpressure () =
               true);
           p_lookup = (fun _ -> None);
           p_lockfree_lookup = false;
+          p_key_ok = (fun _ -> true);
           p_delete = (fun _ -> false);
           p_scan = None;
           p_recover = ignore;
@@ -1174,6 +1235,7 @@ let test_crash_drains_queue () =
               else true);
           p_lookup = (fun _ -> None);
           p_lockfree_lookup = false;
+          p_key_ok = (fun _ -> true);
           p_delete = (fun _ -> false);
           p_scan = None;
           p_recover = ignore;
@@ -1746,6 +1808,7 @@ let () =
           Alcotest.test_case "2-shard smoke over ART" `Quick test_server_smoke;
           Alcotest.test_case "trickled frames" `Quick test_conn_trickle;
           Alcotest.test_case "hash partitions" `Quick test_server_hash_partition;
+          Alcotest.test_case "bad keys rejected" `Quick test_bad_keys_rejected;
           Alcotest.test_case "backpressure exactly-once" `Quick
             test_backpressure;
         ] );

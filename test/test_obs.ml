@@ -61,9 +61,9 @@ let test_hist_cross_domain () =
 
 (* --- site attribution vs the legacy Stats façade ------------------------ *)
 
-(* Every flush/fence increments the global total and exactly one site
-   (untagged when no label was given), so summing over all sites must
-   reproduce the Stats totals — single-threaded and multi-threaded. *)
+(* Every flush/fence increments exactly one site (untagged when no label
+   was given), and the Stats totals are the sums over sites — so summing
+   must reproduce them, single-threaded and multi-threaded. *)
 let check_invariant ctx =
   let s = Pmem.Stats.snapshot () in
   let sites = Obs.Site.all () in
@@ -106,6 +106,46 @@ let test_site_totals_multi () =
       (Obs.Site.by_index "P-ART")
   in
   Alcotest.(check bool) "P-ART sites attributed" true (art_clwb > 0)
+
+(* Raw flushes and fences, tagged and untagged, from two domains at once:
+   the per-site counts, read back one by one, add up to the snapshot, each
+   flush is counted exactly once, and [Stats.reset] zeroes sites and totals
+   alike. *)
+let site_raw = Obs.Site.v ~index:"obs-test" "raw"
+
+let test_site_totals_raw () =
+  reset ();
+  let w = Pmem.Words.make ~name:"obs.raw" 64 0 in
+  let per = 5_000 in
+  let body () =
+    for i = 1 to per do
+      if i land 1 = 0 then begin
+        Pmem.Words.clwb ~site:site_raw w (i land 63);
+        Pmem.sfence ~site:site_raw ()
+      end
+      else begin
+        Pmem.Words.clwb w (i land 63);
+        Pmem.sfence ()
+      end
+    done
+  in
+  let d = Domain.spawn body in
+  body ();
+  Domain.join d;
+  check_invariant "two domains";
+  let s = Pmem.Stats.snapshot () in
+  Alcotest.(check int) "each flush counted once" (2 * per) s.Pmem.Stats.s_clwb;
+  Alcotest.(check int) "each fence counted once" (2 * per) s.Pmem.Stats.s_sfence;
+  Alcotest.(check int) "tagged half" per (Obs.Site.clwb_count site_raw);
+  Alcotest.(check int)
+    "untagged half" per
+    (Obs.Site.sfence_count Obs.Site.untagged);
+  Pmem.Stats.reset ();
+  let s = Pmem.Stats.snapshot () in
+  Alcotest.(check (pair int int)) "reset zeroes the totals" (0, 0)
+    (s.Pmem.Stats.s_clwb, s.Pmem.Stats.s_sfence);
+  Alcotest.(check (pair int int)) "reset zeroes the sites" (0, 0)
+    (Obs.Site.clwb_count site_raw, Obs.Site.clwb_count Obs.Site.untagged)
 
 (* --- trace ring --------------------------------------------------------- *)
 
@@ -394,6 +434,8 @@ let () =
             test_site_totals_single;
           Alcotest.test_case "totals = Stats (multi-domain)" `Quick
             test_site_totals_multi;
+          Alcotest.test_case "raw flushes counted once" `Quick
+            test_site_totals_raw;
           Alcotest.test_case "duplicate registration rejected" `Quick
             test_site_duplicate_registration_rejected;
         ] );

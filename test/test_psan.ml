@@ -14,6 +14,7 @@ let site_b = Obs.Site.v ~index:"psan-test" "commit-b"
 
 let reset () =
   Psan.disable ();
+  Pmem.Hook.undrop ();
   Pmem.Mode.set_shadow false;
   Pmem.Llc.set_enabled false;
   Pmem.Crash.disarm ();
@@ -25,7 +26,8 @@ let reset () =
 (* Run [f] under the sanitizer against a clean diagnostic sink. *)
 let sanitized ?races f =
   reset ();
-  Psan.with_sanitizer ?races f
+  Fun.protect ~finally:Pmem.Hook.undrop (fun () ->
+      Psan.with_sanitizer ?races f)
 
 let kinds () =
   List.sort_uniq compare (List.map (fun (d, _) -> d.D.kind) (D.all ()))
@@ -232,7 +234,7 @@ let test_cceh_clean_no_findings () =
 
 let test_mutation_clht_missing_clwb () =
   sanitized (fun () ->
-      Pmem.Sanhook.drop_clwb_at "P-CLHT/insert-commit";
+      Pmem.Hook.drop ~clwb_at:"P-CLHT/insert-commit" ();
       let t = Clht.create ~capacity:16 () in
       for i = 1 to 20 do
         ignore (Clht.insert t i i)
@@ -246,7 +248,7 @@ let test_mutation_clht_missing_clwb () =
 
 let test_mutation_clht_missing_sfence () =
   sanitized (fun () ->
-      Pmem.Sanhook.drop_sfence_at "P-CLHT/insert-commit";
+      Pmem.Hook.drop ~sfence_at:"P-CLHT/insert-commit" ();
       let t = Clht.create ~capacity:16 () in
       for i = 1 to 20 do
         ignore (Clht.insert t i i)
@@ -257,7 +259,7 @@ let test_mutation_clht_missing_sfence () =
 
 let test_mutation_art_missing_clwb () =
   sanitized (fun () ->
-      Pmem.Sanhook.drop_clwb_at "P-ART/child-commit";
+      Pmem.Hook.drop ~clwb_at:"P-ART/child-commit" ();
       let t = Art.create () in
       for i = 1 to 50 do
         ignore (Art.insert t (Util.Keys.encode_int i) i)
@@ -313,14 +315,15 @@ let test_all_indexes_clean () =
 
 (* --- zero-overhead guard --------------------------------------------------
 
-   With sanitize mode off the substrate must not call into the sanitizer at
-   all: the accessor dispatch is the same single flags test as before.  The
+   With the sanitizer disabled the substrate must not call into it at all:
+   its seam layer is gone and the accessor dispatch is the single flags
+   test.  The
    engine's event counter is the witness — any off-path hook call would
    bump it. *)
 
 let test_off_path_untouched () =
   reset ();
-  (* install + tear down once so hooks exist but the mode bit is off *)
+  (* install + tear down once: the handlers existed, but no layer is left *)
   Psan.enable ();
   Psan.disable ();
   let before = Psan.events_seen () in
@@ -345,6 +348,9 @@ let test_off_path_untouched () =
   Alcotest.(check bool)
     "sanitize flag clear" false
     (!Pmem.Mode.flags land Pmem.Mode.f_sanitize <> 0);
+  Alcotest.(check bool)
+    "no seam layer left installed" false
+    (!Pmem.Mode.flags land Pmem.Mode.f_hooked <> 0);
   Alcotest.(check int) "values intact" 7 (W.get w 8)
 
 (* Crash + power failure under the sanitizer must reset its state, not

@@ -34,7 +34,7 @@ let read_lines path =
 let fixtures =
   [
     "bad_r1_mutation"; "bad_r2_publish"; "bad_r3_fence"; "bad_r4_sites";
-    "bad_txn_commit"; "good_clean";
+    "bad_r5_lazy"; "bad_txn_commit"; "good_clean";
   ]
 
 let test_fixture name () =

@@ -34,7 +34,7 @@ let fresh_env () =
 let teardown () =
   Faultinject.disarm ();
   Pmem.Crash.disarm ();
-  Recipe.Txn.mutate_drop_commit_fence := false;
+  Pmem.Hook.undrop ();
   if Recipe.Persist.txn_active () then Recipe.Persist.txn_end_abort ();
   Recipe.Persist.set_group false;
   Pmem.Mode.set_shadow false
@@ -103,7 +103,7 @@ let test_crash_before_flip_rolls_back () =
    dropped fence; with the fence restored the same sequence survives. *)
 let test_dropped_commit_fence_caught () =
   with_env (fun () ->
-      Recipe.Txn.mutate_drop_commit_fence := true;
+      Pmem.Hook.drop ~clwb_at:"txn/wal/commit" ~sfence_at:"txn/wal/commit" ();
       let wal = Recipe.Txn.make_wal () in
       let w = stage_and_prepare wal in
       Pmem.simulate_power_failure ();
