@@ -761,7 +761,7 @@ let lint_structure ~file ~scope ~emit structure =
           vb.pvb_expr
       end)
     bindings;
-  if ctx.scope.r5 then r5_check ctx structure;
+  if ctx.scope.r4 then r5_check ctx structure;
   let defs = r4_analyze ctx structure in
   (defs, ctx.stats)
 

@@ -6,13 +6,14 @@
    full of volatile queues and rings, and [lib/pmem] *implements* the
    primitives the rules reason about.  R2/R3 (publish/fence hygiene) add
    kvserve, whose batch executor issues flushes and fences of its own.
-   R4 (site hygiene) is global: every lib registers attribution sites.  So
-   is R5 (lazy hygiene): any lib may run on several domains. *)
+   R4 (site hygiene) is global: every lib registers attribution sites.
+   R5 (lazy hygiene) runs wherever R4 does: any lib may run on several
+   domains. *)
 
-type t = { r1 : bool; r23 : bool; r4 : bool; r5 : bool }
+type t = { r1 : bool; r23 : bool; r4 : bool }
 
-let none = { r1 = false; r23 = false; r4 = false; r5 = false }
-let all = { r1 = true; r23 = true; r4 = true; r5 = true }
+let none = { r1 = false; r23 = false; r4 = false }
+let all = { r1 = true; r23 = true; r4 = true }
 
 (* The nine paper indexes. *)
 let index_libs =
@@ -42,5 +43,4 @@ let of_path file =
         r1 = List.mem l r1_libs;
         r23 = List.mem l r23_libs;
         r4 = true;
-        r5 = true;
       }

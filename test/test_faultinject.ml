@@ -22,38 +22,60 @@ let with_env f = Fun.protect ~finally:teardown (fun () -> fresh_env (); f ())
 
 (* --- the off path -------------------------------------------------------
 
-   A fault layer installed and then removed must receive no further event:
-   with no layer left the seam's flag bit is clear and the accessors' one
-   flags test skips dispatch (the mirror of test_psan.ml's off-path
-   assertion). *)
+   With the seam's flag bit clear the accessors must not dispatch at all:
+   a counting record assigned straight into [Pmem.Hook.h] (bypassing
+   [Hook.set], so [f_hooked] stays clear) must see no event from a workload
+   of stores, flushes, fences and allocations — an accessor that called the
+   hook without testing the flag would be caught here (the mirror of
+   test_psan.ml's off-path assertion).  A layer installed and then removed
+   through [Faultinject.disarm] must leave the bit clear. *)
 
 let test_off_path_untouched () =
   Faultinject.disarm ();
+  Alcotest.(check bool)
+    "flag clear" false
+    (!Pmem.Mode.flags land Pmem.Mode.f_hooked <> 0);
   let calls = ref 0 in
-  Pmem.Hook.set Pmem.Hook.Fault
-    (Some
-       {
-         Pmem.Hook.noop with
-         alloc = (fun _ _ _ -> incr calls);
-         store = (fun _ _ _ _ _ -> incr calls);
-         clwb = (fun _ _ _ _ -> incr calls; false);
-         sfence = (fun _ -> incr calls; false);
-       });
+  let counting =
+    {
+      Pmem.Hook.alloc = (fun _ _ _ -> incr calls);
+      store = (fun _ _ _ _ _ -> incr calls);
+      load = (fun _ _ _ _ -> incr calls);
+      rmw = (fun _ _ _ op _ -> incr calls; op ());
+      clwb = (fun _ _ _ _ -> incr calls; false);
+      sfence = (fun _ -> incr calls; false);
+      publish = (fun _ _ _ _ -> incr calls);
+      crash = (fun () -> incr calls);
+      quiesce = (fun () -> incr calls);
+      sync = (fun () -> incr calls);
+    }
+  in
+  Fun.protect
+    ~finally:(fun () -> Pmem.Hook.h := Pmem.Hook.noop)
+    (fun () ->
+      Pmem.Hook.h := counting;
+      let w = Pmem.Words.make ~name:"fi.off" ~atomic_words:[ 0 ] 32 0 in
+      for i = 0 to 31 do
+        Pmem.Words.set w i (i + 1)
+      done;
+      ignore (Pmem.Words.get w 3);
+      ignore (Pmem.Words.cas w 0 ~expected:1 ~desired:2);
+      Pmem.Words.clwb w 0;
+      Pmem.sfence ();
+      let t = Clht.create ~capacity:8 () in
+      for k = 1 to 64 do
+        ignore (Clht.insert t k k)
+      done;
+      ignore (Clht.lookup t 5));
+  Alcotest.(check int) "no hook calls with the flag clear" 0 !calls;
+  Faultinject.arm (Faultinject.Crash_at_flush { site = None; k = max_int });
+  Alcotest.(check bool)
+    "arming sets the flag" true
+    (!Pmem.Mode.flags land Pmem.Mode.f_hooked <> 0);
   Faultinject.disarm ();
   Alcotest.(check bool)
-    "no layer left" false
-    (!Pmem.Mode.flags land Pmem.Mode.f_hooked <> 0);
-  let w = Pmem.Words.make ~name:"fi.off" 32 0 in
-  for i = 0 to 31 do
-    Pmem.Words.set w i (i + 1)
-  done;
-  Pmem.Words.clwb w 0;
-  Pmem.sfence ();
-  let t = Clht.create ~capacity:8 () in
-  for k = 1 to 64 do
-    ignore (Clht.insert t k k)
-  done;
-  Alcotest.(check int) "no hook calls after disarm" 0 !calls
+    "no layer left after disarm" false
+    (!Pmem.Mode.flags land Pmem.Mode.f_hooked <> 0)
 
 (* [count_events] reports the substrate event stream of a closure; two
    identical runs must see identical streams — the foundation of

@@ -316,41 +316,47 @@ let test_all_indexes_clean () =
 (* --- zero-overhead guard --------------------------------------------------
 
    With the sanitizer disabled the substrate must not call into it at all:
-   its seam layer is gone and the accessor dispatch is the single flags
-   test.  The
-   engine's event counter is the witness — any off-path hook call would
-   bump it. *)
+   the accessor dispatch is the single flags test.  The sanitizer's own
+   handlers are put back into the seam by hand with the [f_hooked] bit
+   still clear (the state an accessor that skipped the flags test would
+   see), and the engine's event counter is the witness — any off-path
+   hook call would bump it. *)
 
 let test_off_path_untouched () =
   reset ();
-  (* install + tear down once: the handlers existed, but no layer is left *)
+  (* install once to capture the sanitizer's layer, then tear it down *)
   Psan.enable ();
+  let sanitizer_layer = !Pmem.Hook.h in
   Psan.disable ();
+  Alcotest.(check bool)
+    "no seam layer left installed" false
+    (!Pmem.Mode.flags land Pmem.Mode.f_hooked <> 0);
   let before = Psan.events_seen () in
   let w = W.make ~name:"psan.off" ~atomic_words:[ 3 ] 64 0 in
   let r = R.make ~name:"psan.off.r" ~atomic:true 8 None in
-  for i = 0 to 63 do
-    W.set w i i
-  done;
-  for _ = 1 to 1_000 do
-    for i = 0 to 63 do
-      assert (W.get w i >= 0)
-    done;
-    ignore (W.cas w 3 ~expected:3 ~desired:3);
-    R.set r 0 (Some 1);
-    ignore (R.get r 0);
-    P.commit ~site:site_a w 8 7;
-    Pmem.sfence ~site:site_a ()
-  done;
+  Fun.protect
+    ~finally:(fun () -> Pmem.Hook.h := Pmem.Hook.noop)
+    (fun () ->
+      Pmem.Hook.h := sanitizer_layer;
+      for i = 0 to 63 do
+        W.set w i i
+      done;
+      for _ = 1 to 1_000 do
+        for i = 0 to 63 do
+          assert (W.get w i >= 0)
+        done;
+        ignore (W.cas w 3 ~expected:3 ~desired:3);
+        R.set r 0 (Some 1);
+        ignore (R.get r 0);
+        P.commit ~site:site_a w 8 7;
+        Pmem.sfence ~site:site_a ()
+      done);
   Alcotest.(check int)
     "sanitizer saw zero events with the mode off" 0
     (Psan.events_seen () - before);
   Alcotest.(check bool)
     "sanitize flag clear" false
     (!Pmem.Mode.flags land Pmem.Mode.f_sanitize <> 0);
-  Alcotest.(check bool)
-    "no seam layer left installed" false
-    (!Pmem.Mode.flags land Pmem.Mode.f_hooked <> 0);
   Alcotest.(check int) "values intact" 7 (W.get w 8)
 
 (* Crash + power failure under the sanitizer must reset its state, not
