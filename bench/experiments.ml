@@ -357,6 +357,11 @@ let micro_pmem_measure ?(threads = 4) () =
   let wc = W.make ~name:"micro.cas" ~atomic_words:[ 0 ] 1 0 in
   let rf = R.make ~name:"micro.refs-flat" ~atomic:false (mask + 1) 0 in
   let ra = R.make ~name:"micro.refs-atomic" ~atomic:true (mask + 1) 0 in
+  (* At most 256 slots: one chunk held in the object itself, the shape of
+     every tree node's child array.  The 4096-slot objects above are
+     chunked. *)
+  let small = 255 in
+  let ras = R.make ~name:"micro.refs-atomic-small" ~atomic:true (small + 1) 0 in
   let sink = ref 0 in
   let single =
     [
@@ -389,6 +394,12 @@ let micro_pmem_measure ?(threads = 4) () =
           let acc = ref 0 in
           for i = 0 to n - 1 do
             acc := !acc + R.get ra (i land mask)
+          done;
+          sink := !acc);
+      time "refs_get_atomic_small" (fun n ->
+          let acc = ref 0 in
+          for i = 0 to n - 1 do
+            acc := !acc + R.get ras (i land small)
           done;
           sink := !acc);
       time "refs_clwb" (fun n ->
@@ -557,7 +568,21 @@ let micro_pmem cfg =
     ~header:[ "op"; "off ns/op"; "on ns/op"; "ratio" ]
     (List.map
        (fun (n, o, s) -> [ n; Report.f2 o; Report.f2 s; Report.f2 (s /. o) ])
-       (micro_pmem_sanitize_measure ()))
+       (micro_pmem_sanitize_measure ()));
+  let module F = Harness.Footprint in
+  Report.print_table
+    ~title:"micro-pmem: host heap words per object (headers and boxes included)"
+    ~header:[ "object"; "words" ]
+    (List.map
+       (fun (n, v) -> [ n; Report.f2 v ])
+       [
+         ("Words.make 2", F.words 2);
+         ("Words.make 8", F.words 8);
+         ("Refs.make ~atomic:true 4", F.refs_atomic 4);
+         ("Refs.make ~atomic:true 48", F.refs_atomic 48);
+         ("Refs.make ~atomic:true 256", F.refs_atomic 256);
+         ("P-ART key (100k keys, key string excluded)", F.art_per_key 100_000);
+       ])
 
 (* --- E13: ablation — literal vs coalesced conversion flushes -------------------------------- *)
 

@@ -19,14 +19,6 @@ open Cmdliner
 module Wire = Kvserve.Wire
 module Server = Kvserve.Server
 
-let write_all fd s =
-  let b = Bytes.unsafe_of_string s in
-  let len = Bytes.length b in
-  let off = ref 0 in
-  while !off < len do
-    off := !off + Unix.write fd b !off (len - !off)
-  done
-
 let handle_conn srv fd =
   let conn = Server.Conn.create srv in
   let buf = Bytes.create 4096 in
@@ -35,7 +27,7 @@ let handle_conn srv fd =
     | 0 -> ()
     | n ->
         let out = Server.Conn.feed conn (Bytes.sub_string buf 0 n) in
-        if String.length out > 0 then write_all fd out;
+        if String.length out > 0 then Sockio.write_all fd out;
         if not (Server.Conn.broken conn) then loop ()
     | exception Unix.Unix_error _ -> ()
   in
@@ -74,34 +66,16 @@ let accept_loop srv sock max_conns =
 
 (* --- smoke client -------------------------------------------------------- *)
 
-let read_response fd pendbuf =
-  let tmp = Bytes.create 4096 in
-  let rec go () =
-    match Wire.decode_response (Buffer.contents pendbuf) 0 with
-    | `Ok (resp, consumed) ->
-        let data = Buffer.contents pendbuf in
-        Buffer.clear pendbuf;
-        Buffer.add_substring pendbuf data consumed (String.length data - consumed);
-        resp
-    | `Malformed m -> failwith ("smoke: malformed response: " ^ m)
-    | `Need_more ->
-        let n = Unix.read fd tmp 0 (Bytes.length tmp) in
-        if n = 0 then failwith "smoke: connection closed mid-response";
-        Buffer.add_subbytes pendbuf tmp 0 n;
-        go ()
-  in
-  go ()
-
 let smoke_client port scan_supported errors () =
   try
     let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
     Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-    let pend = Buffer.create 256 in
+    let pend = Sockio.pending () in
     let rid = ref 0 in
     let roundtrip ops =
       incr rid;
-      write_all fd (Wire.request_string { Wire.rid = !rid; ops });
-      let resp = read_response fd pend in
+      Sockio.write_all fd (Wire.request_string { Wire.rid = !rid; ops });
+      let resp = Sockio.read_response fd pend in
       if resp.Wire.rrid <> !rid then failwith "smoke: response id mismatch";
       resp
     in

@@ -19,36 +19,10 @@ open Cmdliner
 module Wire = Kvserve.Wire
 module Server = Kvserve.Server
 
-let write_all fd s =
-  let b = Bytes.unsafe_of_string s in
-  let len = Bytes.length b in
-  let off = ref 0 in
-  while !off < len do
-    off := !off + Unix.write fd b !off (len - !off)
-  done
-
-let read_response fd pendbuf =
-  let tmp = Bytes.create 4096 in
-  let rec go () =
-    match Wire.decode_response (Buffer.contents pendbuf) 0 with
-    | `Ok (resp, consumed) ->
-        let data = Buffer.contents pendbuf in
-        Buffer.clear pendbuf;
-        Buffer.add_substring pendbuf data consumed (String.length data - consumed);
-        resp
-    | `Malformed m -> failwith ("malformed response: " ^ m)
-    | `Need_more ->
-        let n = Unix.read fd tmp 0 (Bytes.length tmp) in
-        if n = 0 then failwith "connection closed mid-response";
-        Buffer.add_subbytes pendbuf tmp 0 n;
-        go ()
-  in
-  go ()
-
 (* One stats round trip on an established connection. *)
 let query fd pend rid =
-  write_all fd (Wire.request_string { Wire.rid; ops = [ Wire.Stats ] });
-  let resp = read_response fd pend in
+  Sockio.write_all fd (Wire.request_string { Wire.rid; ops = [ Wire.Stats ] });
+  let resp = Sockio.read_response fd pend in
   if resp.Wire.rrid <> rid then failwith "response id mismatch";
   match (resp.Wire.status, resp.Wire.replies) with
   | Wire.Ok, [ Wire.Stats_reply fields ] -> fields
@@ -136,7 +110,7 @@ let query_mode host port =
     Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_of_string host, port))
   with
   | () ->
-      let fields = query fd (Buffer.create 256) 1 in
+      let fields = query fd (Sockio.pending ()) 1 in
       Unix.close fd;
       render fields;
       0
@@ -175,7 +149,7 @@ let smoke_mode () =
           | 0 -> ()
           | n ->
               let out = Server.Conn.feed conn (Bytes.sub_string buf 0 n) in
-              if String.length out > 0 then write_all fd out;
+              if String.length out > 0 then Sockio.write_all fd out;
               if not (Server.Conn.broken conn) then loop ()
           | exception Unix.Unix_error _ -> ()
         in
@@ -193,24 +167,24 @@ let smoke_mode () =
   (try
      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
      Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-     let pend = Buffer.create 256 in
+     let pend = Sockio.pending () in
      let nput = 100 in
      let puts =
        List.init nput (fun i -> Wire.Put (Util.Keys.encode_int i, i))
      in
-     write_all fd (Wire.request_string { Wire.rid = 1; ops = puts });
-     let r = read_response fd pend in
+     Sockio.write_all fd (Wire.request_string { Wire.rid = 1; ops = puts });
+     let r = Sockio.read_response fd pend in
      check "puts acked" (r.Wire.status = Wire.Ok);
      (* Every put is fenced once acked, so a Get-only request is answered
         directly on the connection's domain. *)
      let ngets = 10 in
-     write_all fd
+     Sockio.write_all fd
        (Wire.request_string
           {
             Wire.rid = 3;
             ops = List.init ngets (fun i -> Wire.Get (Util.Keys.encode_int i));
           });
-     let r = read_response fd pend in
+     let r = Sockio.read_response fd pend in
      check "gets found"
        (r.Wire.status = Wire.Ok
        && r.Wire.replies = List.init ngets (fun i -> Wire.Found i));

@@ -10,7 +10,15 @@
        [3] stored prefix bytes (<= 7, packed 7 per word)
        [4..6] child key bytes (Node4: 4, Node16: 16, packed 7 per word)
    - Node48 additionally has a 256-byte child index (packed, own lines);
-   - a child-pointer array sized by node kind.
+   - a child-pointer array sized by node kind;
+   - a leaf: a value word plus the key bytes (one line for 8-byte keys).
+
+   Host layout (OCaml words, headers included): a leaf is its inline
+   [CLeaf] block (3) and its value cell (8 for an 8-byte key); a Node4 is
+   its record (6), header (14), 4 child cells (18) and lock (2).  At 100k
+   random 8-byte keys the tree holds 19.7 words per key, key strings
+   excluded (test_art's footprint group bounds it at 21).  A lookup with
+   the sanitizer off allocates only its [Some].
 
    Commit points (all single 8-byte atomic stores):
    - Node4/16 add: write child slot + key byte, persist, then the count
@@ -48,9 +56,12 @@ let s_recover = site "recover"
 
 type kind = N4 | N16 | N48 | N256
 
-type leaf = { lkey : string; cells : W.t (* [0] = value; rest = key bytes *) }
-
-type child = CNull | CInner of node | CLeaf of leaf
+(* A leaf is carried inline in its [CLeaf] block: one block per key, whose
+   identity is the leaf's (a leaf is never re-wrapped). *)
+type child =
+  | CNull
+  | CInner of node
+  | CLeaf of { lkey : string; cells : W.t (* [0] = value; rest = key bytes *) }
 
 and node = {
   kind : kind;
@@ -93,29 +104,37 @@ let pack_string s off len =
    is retried one level down, a stale prefix is re-derived from a leaf, and
    crash leftovers are helper-fixed.  Declare the window to the sanitizer
    (at the accessor, so every metadata read is covered) so its race check
-   doesn't flag these by-design benign reads. *)
-let[@inline] spec f =
-  if !Pmem.Mode.flags land Pmem.Mode.f_sanitize <> 0 then begin
-    Pmem.Sanhook.spec_enter ();
-    Fun.protect ~finally:Pmem.Sanhook.spec_exit f
-  end
-  else f ()
+   doesn't flag these by-design benign reads.  [spec1]/[spec2] take the
+   accessor and its arguments, so with the sanitizer off they apply it
+   directly and build no closure; compound readers wrap a closed local
+   body the same way. *)
+let spec_window f =
+  Pmem.Sanhook.spec_enter ();
+  Fun.protect ~finally:Pmem.Sanhook.spec_exit f
 
-let count n = spec @@ fun () -> W.get n.header 0
-let prefix_len n = spec @@ fun () -> W.get n.header 1
-let level n = spec @@ fun () -> W.get n.header 2
-let prefix_byte n i = spec @@ fun () -> packed_get n.header 3 i
-let key_byte n j = spec @@ fun () -> packed_get n.header 4 j
+let[@inline] sanitizing () =
+  !Pmem.Mode.flags land Pmem.Mode.f_sanitize <> 0
+
+let[@inline] spec1 f a = if sanitizing () then spec_window (fun () -> f a) else f a
+
+let[@inline] spec2 f a b =
+  if sanitizing () then spec_window (fun () -> f a b) else f a b
+
+let count n = spec2 W.get n.header 0
+let prefix_len n = spec2 W.get n.header 1
+let level n = spec2 W.get n.header 2
+let prefix_byte n i = spec2 (fun h i -> packed_get h 3 i) n.header i
+let key_byte n j = spec2 (fun h j -> packed_get h 4 j) n.header j
 let set_key_byte n j b = packed_set n.header 4 j b
 
 let capacity = function N4 -> 4 | N16 -> 16 | N48 -> 48 | N256 -> 256
 
-let index_byte n b =
-  spec @@ fun () ->
-  match n.index with Some iw -> packed_get iw 0 b | None -> assert false
+let index_word n =
+  match n.index with Some iw -> iw | None -> assert false
 
-let set_index_byte n b v =
-  match n.index with Some iw -> packed_set iw 0 b v | None -> assert false
+let index_byte n b = spec2 (fun iw b -> packed_get iw 0 b) (index_word n) b
+
+let set_index_byte n b v = packed_set (index_word n) 0 b v
 
 let make_node kind ~level ~prefix_len ~prefix_word =
   let header = W.make ~name:"art.header" 8 0 in
@@ -144,11 +163,13 @@ let make_leaf key value =
   W.set cells 0 value;
   (* key bytes stored for line accounting; [lkey] is the source of truth *)
   String.iteri (fun i c -> if i mod 8 = 0 then W.set cells (1 + (i / 8)) (Char.code c)) key;
-  { lkey = key; cells }
+  CLeaf { lkey = key; cells }
 
-let persist_leaf ?(site = s_alloc_leaf) l =
-  W.clwb_all ~site l.cells;
-  Pmem.sfence ~site ()
+let persist_leaf ?(site = s_alloc_leaf) = function
+  | CLeaf l ->
+      W.clwb_all ~site l.cells;
+      Pmem.sfence ~site ()
+  | CNull | CInner _ -> assert false
 
 let create () =
   let root = make_node N256 ~level:0 ~prefix_len:0 ~prefix_word:0 in
@@ -160,91 +181,97 @@ let shrink_count t = Atomic.get t.shrinks
 
 (* --- child access -------------------------------------------------------------- *)
 
-let find_child n b =
-  spec @@ fun () ->
-  match n.kind with
-  | N4 | N16 ->
-      let c = count n in
-      let rec go j =
-        if j >= c then CNull
-        else if key_byte n j = b then
-          match R.get n.children j with CNull -> go (j + 1) | ch -> ch
-        else go (j + 1)
-      in
-      go 0
-  | N48 ->
-      let idx = index_byte n b in
-      if idx = 0 then CNull else R.get n.children (idx - 1)
-  | N256 -> R.get n.children b
+(* The first live child of Node4/16 [n] keyed [b], scanning slots [j] up to
+   the count [c]. *)
+let rec find_small n b c j =
+  if j >= c then CNull
+  else if key_byte n j = b then
+    match R.get n.children j with
+    | CNull -> find_small n b c (j + 1)
+    | ch -> ch
+  else find_small n b c (j + 1)
+
+let find_child =
+  let find n b =
+    match n.kind with
+    | N4 | N16 -> find_small n b (count n) 0
+    | N48 ->
+        let idx = index_byte n b in
+        if idx = 0 then CNull else R.get n.children (idx - 1)
+    | N256 -> R.get n.children b
+  in
+  fun n b -> spec2 find n b
 
 (* Live (byte, child) pairs in ascending byte order. *)
-let children_in_order n =
-  spec @@ fun () ->
-  match n.kind with
-  | N4 | N16 ->
-      let c = count n in
-      let rec go j acc =
-        if j >= c then acc
-        else
-          match R.get n.children j with
-          | CNull -> go (j + 1) acc
-          | ch -> go (j + 1) ((key_byte n j, ch) :: acc)
-      in
-      List.sort (fun (a, _) (b, _) -> compare a b) (go 0 [])
-  | N48 ->
-      let rec go b acc =
-        if b > 255 then List.rev acc
-        else
-          let idx = index_byte n b in
-          if idx = 0 then go (b + 1) acc
+let children_in_order =
+  let live n =
+    match n.kind with
+    | N4 | N16 ->
+        let c = count n in
+        let rec go j acc =
+          if j >= c then acc
           else
-            match R.get n.children (idx - 1) with
+            match R.get n.children j with
+            | CNull -> go (j + 1) acc
+            | ch -> go (j + 1) ((key_byte n j, ch) :: acc)
+        in
+        List.sort (fun (a, _) (b, _) -> compare a b) (go 0 [])
+    | N48 ->
+        let rec go b acc =
+          if b > 255 then List.rev acc
+          else
+            let idx = index_byte n b in
+            if idx = 0 then go (b + 1) acc
+            else
+              match R.get n.children (idx - 1) with
+              | CNull -> go (b + 1) acc
+              | ch -> go (b + 1) ((b, ch) :: acc)
+        in
+        go 0 []
+    | N256 ->
+        let rec go b acc =
+          if b > 255 then List.rev acc
+          else
+            match R.get n.children b with
             | CNull -> go (b + 1) acc
             | ch -> go (b + 1) ((b, ch) :: acc)
-      in
-      go 0 []
-  | N256 ->
-      let rec go b acc =
-        if b > 255 then List.rev acc
-        else
-          match R.get n.children b with
-          | CNull -> go (b + 1) acc
-          | ch -> go (b + 1) ((b, ch) :: acc)
-      in
-      go 0 []
+        in
+        go 0 []
+  in
+  fun n -> spec1 live n
 
-
-(* Any leaf under [n] — used to reconstruct prefixes (optimistic path
-   compression) and by the crash-fix helper. *)
-let rec minimum_leaf n =
+(* The key of any leaf under [n] — used to reconstruct prefixes (optimistic
+   path compression) and by the crash-fix helper. *)
+let rec minimum_key n =
   match children_in_order n with
   | [] -> None
-  | (_, CLeaf l) :: _ -> Some l
-  | (_, CInner m) :: _ -> minimum_leaf m
+  | (_, CLeaf l) :: _ -> Some l.lkey
+  | (_, CInner m) :: _ -> minimum_key m
   | (_, CNull) :: _ -> assert false
 
 (* Authoritative prefix bytes of [n] sitting at [depth]: stored bytes when
    consistent, leaf reconstruction beyond byte 7 (or entirely, when the
    stored header is stale after a crash). *)
-let authoritative_prefix n depth =
-  spec @@ fun () ->
-  let epl = level n - depth in
-  if epl = 0 then Some ""
-  else
-    let pl = prefix_len n in
-    let consistent = pl = epl in
-    if consistent && epl <= 7 then begin
-      let b = Bytes.create epl in
-      for i = 0 to epl - 1 do
-        Bytes.set b i (Char.chr (prefix_byte n i))
-      done;
-      Some (Bytes.unsafe_to_string b)
-    end
+let authoritative_prefix =
+  let prefix n depth =
+    let epl = level n - depth in
+    if epl = 0 then Some ""
     else
-      match minimum_leaf n with
-      | Some l when String.length l.lkey >= depth + epl ->
-          Some (String.sub l.lkey depth epl)
-      | Some _ | None -> None
+      let pl = prefix_len n in
+      let consistent = pl = epl in
+      if consistent && epl <= 7 then begin
+        let b = Bytes.create epl in
+        for i = 0 to epl - 1 do
+          Bytes.set b i (Char.chr (prefix_byte n i))
+        done;
+        Some (Bytes.unsafe_to_string b)
+      end
+      else
+        match minimum_key n with
+        | Some k when String.length k >= depth + epl -> Some (String.sub k depth epl)
+        | Some _ | None -> None
+  in
+  fun n depth -> spec2 prefix n depth
 
 (* --- add / replace children (caller holds n.lock) ---------------------------- *)
 
@@ -393,57 +420,51 @@ let shrinkable kind live =
 
 (* --- lookup (lock-free, tolerant) --------------------------------------------- *)
 
-let lookup t key =
-  let klen = String.length key in
-  let rec go n depth =
-    let epl = level n - depth in
-    if depth + epl >= klen then None
-    else begin
-      let consistent = prefix_len n = epl in
-      let stored_ok =
-        (* Compare the stored prefix bytes only when the header is
-           consistent; after a crash mid-SMO the reader simply skips the
-           prefix (the leaf check below rejects wrong descents). *)
-        (not consistent)
-        ||
-        let stored = min epl 7 in
-        let rec cmp i =
-          i >= stored || (prefix_byte n i = byte key (depth + i) && cmp (i + 1))
-        in
-        cmp 0
-      in
-      if not stored_ok then None
-      else
-        let d' = depth + epl in
-        match find_child n (byte key d') with
-        | CNull -> None
-        | CLeaf l ->
-            if String.equal l.lkey key then Some (W.get l.cells 0) else None
-        | CInner m -> go m (d' + 1)
-    end
-  in
-  go t.root 0
+(* Whether the first [stored] stored prefix bytes of [n] match [key] from
+   [depth], starting at byte [i]. *)
+let rec prefix_matches n key depth stored i =
+  i >= stored
+  || (prefix_byte n i = byte key (depth + i)
+     && prefix_matches n key depth stored (i + 1))
+
+(* The descents below are top-level recursions over explicit arguments, so
+   a lookup allocates nothing but its [Some]. *)
+let rec lookup_from key klen n depth =
+  let epl = level n - depth in
+  if depth + epl >= klen then None
+  else if
+    (* Compare the stored prefix bytes only when the header is consistent;
+       after a crash mid-SMO the reader simply skips the prefix (the leaf
+       check below rejects wrong descents). *)
+    prefix_len n = epl && not (prefix_matches n key depth (min epl 7) 0)
+  then None
+  else
+    let d' = depth + epl in
+    match find_child n (byte key d') with
+    | CNull -> None
+    | CLeaf l -> if String.equal l.lkey key then Some (W.get l.cells 0) else None
+    | CInner m -> lookup_from key klen m (d' + 1)
+
+let lookup t key = lookup_from key (String.length key) t.root 0
+
+let rec update_from key klen value n depth =
+  let epl = level n - depth in
+  if depth + epl >= klen then false
+  else
+    let d' = depth + epl in
+    match find_child n (byte key d') with
+    | CNull -> false
+    | CLeaf l ->
+        String.equal l.lkey key
+        && begin
+             P.commit ~site:s_update l.cells 0 value;
+             true
+           end
+    | CInner m -> update_from key klen value m (d' + 1)
 
 (* In-place value update: one atomic store to the leaf's value word
    (Condition #1), lock-free like lookup. *)
-let update t key value =
-  let klen = String.length key in
-  let rec go n depth =
-    let epl = level n - depth in
-    if depth + epl >= klen then false
-    else
-      let d' = depth + epl in
-      match find_child n (byte key d') with
-      | CNull -> false
-      | CLeaf l ->
-          if String.equal l.lkey key then begin
-            P.commit ~site:s_update l.cells 0 value;
-            true
-          end
-          else false
-      | CInner m -> go m (d' + 1)
-  in
-  go t.root 0
+let update t key value = update_from key (String.length key) value t.root 0
 
 (* --- path revalidation (after taking locks) ------------------------------------ *)
 
@@ -469,9 +490,8 @@ let validate t key ?parent node =
 let fix_prefix t n depth =
   let epl = level n - depth in
   let word =
-    match minimum_leaf n with
-    | Some l when String.length l.lkey >= depth + min epl 7 ->
-        pack_string l.lkey depth epl
+    match minimum_key n with
+    | Some k when String.length k >= depth + min epl 7 -> pack_string k depth epl
     | Some _ | None -> 0
   in
   W.set n.header 3 word;
@@ -533,8 +553,8 @@ and insert_attempt t key value =
         let b = byte key d' in
         match find_child n b with
         | CNull -> add_leaf t parent n b key value
-        | CLeaf l2 ->
-            if String.equal l2.lkey key then false
+        | CLeaf { lkey = k2; _ } as l2 ->
+            if String.equal k2 key then false
             else begin
               (* Diverge below: build the chain node, then swap the slot —
                  a single-pointer Condition #1 commit. *)
@@ -544,10 +564,10 @@ and insert_attempt t key value =
                 raise Retry
               end;
               (match find_child n b with
-              | CLeaf l2' when l2' == l2 ->
+              | l2' when l2' == l2 ->
                   let off = d' + 1 in
-                  let cl = common_from key l2.lkey off in
-                  if off + cl >= klen || off + cl >= String.length l2.lkey then begin
+                  let cl = common_from key k2 off in
+                  if off + cl >= klen || off + cl >= String.length k2 then begin
                     Lock.unlock n.lock;
                     invalid_arg "Art.insert: keys must be prefix-free"
                   end;
@@ -556,10 +576,10 @@ and insert_attempt t key value =
                       ~prefix_word:(pack_string key off cl)
                   in
                   let lf = make_leaf key value in
-                  R.set nn.children 0 (CLeaf lf);
+                  R.set nn.children 0 lf;
                   packed_set nn.header 4 0 (byte key (off + cl));
-                  R.set nn.children 1 (CLeaf l2);
-                  packed_set nn.header 4 1 (byte l2.lkey (off + cl));
+                  R.set nn.children 1 l2;
+                  packed_set nn.header 4 1 (byte k2 (off + cl));
                   W.set nn.header 0 2;
                   persist_leaf ~site:s_chain lf;
                   persist_node ~site:s_chain nn;
@@ -594,7 +614,7 @@ and add_leaf t parent n b key value =
         let lf = make_leaf key value in
         persist_leaf lf;
         Pmem.Crash.point ~site:s_add_child ();
-        add_child n b (CLeaf lf);
+        add_child n b lf;
         Lock.unlock n.lock;
         true
       end
@@ -630,7 +650,7 @@ and grow_and_add t parent n b key value =
       | CNull -> ());
       let lf = make_leaf key value in
       persist_leaf ~site:s_grow lf;
-      let g = grow_with n b (CLeaf lf) in
+      let g = grow_with n b lf in
       persist_node ~site:s_grow g;
       Pmem.Crash.point ~site:s_grow ();
       replace_child p pb (CInner g);
@@ -669,7 +689,7 @@ and split_prefix t parent n depth prefix matched key value =
           ~prefix_word:(pack_string key depth matched)
       in
       let lf = make_leaf key value in
-      R.set nn.children 0 (CLeaf lf);
+      R.set nn.children 0 lf;
       packed_set nn.header 4 0 (byte key d');
       R.set nn.children 1 (CInner n);
       packed_set nn.header 4 1 (Char.code prefix.[matched]);
@@ -708,8 +728,8 @@ and delete_attempt t key =
       let b = byte key d' in
       match find_child n b with
       | CNull -> false
-      | CLeaf l ->
-          if not (String.equal l.lkey key) then false
+      | CLeaf { lkey; _ } as l ->
+          if not (String.equal lkey key) then false
           else begin
             Lock.lock n.lock;
             if not (validate t key ?parent:(Option.map fst parent) n) then begin
@@ -718,7 +738,7 @@ and delete_attempt t key =
             end;
             let r =
               match find_child n b with
-              | CLeaf l' when l' == l -> remove_child n b
+              | l' when l' == l -> remove_child n b
               | CLeaf _ | CInner _ | CNull -> false
             in
             Lock.unlock n.lock;
@@ -805,9 +825,9 @@ let subtree_relation n depth start =
 
 let scan_fold t start nwant f =
   let emitted = ref 0 in
-  let leaf_emit l =
+  let leaf_emit k cells =
     if !emitted >= nwant then raise Scan_done;
-    f l.lkey (W.get l.cells 0);
+    f k (W.get cells 0);
     incr emitted
   in
   let rec go node depth mode =
@@ -816,8 +836,8 @@ let scan_fold t start nwant f =
     | CNull -> ()
     | CLeaf l -> (
         match mode with
-        | `All -> leaf_emit l
-        | `Filter -> if String.compare l.lkey start >= 0 then leaf_emit l)
+        | `All -> leaf_emit l.lkey l.cells
+        | `Filter -> if String.compare l.lkey start >= 0 then leaf_emit l.lkey l.cells)
     | CInner n -> (
         match (mode, subtree_relation n depth start) with
         | `All, _ ->

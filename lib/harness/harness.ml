@@ -1,8 +1,10 @@
 (* Test and bench harness: the index registry, the compile-time interface
-   conformance checks, and the sanitizer switch for test executables. *)
+   conformance checks, the sanitizer switch for test executables, and the
+   host-heap footprint probes. *)
 
 module Index = Index
 module Sanitize_env = Sanitize_env
+module Footprint = Footprint
 
 (* The P-ART projections under their pre-registry names, used only by
    benchmark/. *)

@@ -265,8 +265,14 @@ let partition e () =
         p_insert = (fun key v -> insert (int_of_key key) v);
         p_lookup = (fun key -> o.lookup (int_of_key key));
         p_lockfree_lookup = e.lockfree_lookup;
-        (* The hash tables take positive integer keys only. *)
-        p_key_ok = (fun key -> int_of_key key > 0);
+        (* The hash tables take positive integer keys only.  An 8-byte key
+           with its top bit set is refused too: [decode_int] drops bit 63,
+           so it would alias the key without that bit. *)
+        p_key_ok =
+          (fun key ->
+            (String.length key <> Util.Keys.int_key_length
+            || Char.code key.[0] < 0x80)
+            && int_of_key key > 0);
         p_delete = (fun key -> o.delete (int_of_key key));
         p_scan = None;
         p_recover = o.recover;

@@ -85,7 +85,9 @@ val subject : t -> unit -> Crashtest.subject
     put-if-absent otherwise.  Hash partitions map an 8-byte key to its
     big-endian integer and any other key to a 62-bit FNV-1a hash of its
     bytes; [p_key_ok] refuses a key that maps to an integer [<= 0], which
-    the hash tables cannot hold. *)
+    the hash tables cannot hold, and an 8-byte key whose top bit is set,
+    which would otherwise alias the key without that bit (the integer
+    conversion drops bit 63). *)
 val partition : t -> unit -> Kvserve.Server.partition
 
 (** [driver e p] builds a fresh instance sized for [p] ([Ycsb] sizing, with

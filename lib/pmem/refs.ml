@@ -17,8 +17,8 @@
      happen-before the reader's dereference — this is the synchronisation
      the whole flat substrate leans on.
 
-   - [make ~atomic:false] — slots live in plain chunked ['a array]s: one
-     array load per access, no box.  For slot arrays that are only ever
+   - [make ~atomic:false] — slots live in plain ['a array]s: one array
+     load per access, no box.  For slot arrays that are only ever
      read/written: write-once pools, and traversal arrays whose mutation is
      already ordered by a lock + a separate atomic commit.  See DESIGN.md
      for the per-index decisions and the one x86-TSO caveat.
@@ -27,72 +27,110 @@
    a data slot or a synchronisation point is index-design information, and
    it must be visible (and greppable) at the allocation site.
 
-   Storage is chunked (boxed mode: so no allocation exceeds the OCaml
-   minor-heap large-object threshold — filling a major-heap array with young
-   boxes serializes multi-domain runs on the remembered set; flat mode: so
-   stores hit minor-heap chunks and stay off the major-heap remembered
-   set). *)
+   An object of at most {!small_max} slots ([Flat]/[Boxed], every P-ART,
+   HOT, Masstree and B+-tree node) holds its one chunk in the record itself:
+   a slot access loads the record, the chunk and (boxed) the cell — two
+   dependent loads fewer than through a representation block and an outer
+   chunk array.  Such a chunk still comes from the minor heap, because 256
+   is [Max_young_wosize], so a fresh chunk filled with fresh boxes never
+   puts a major-heap array on the remembered set (which serializes
+   multi-domain runs).  Larger objects (hash directories, mapping tables)
+   are split into {!chunk_size}-slot minor chunks for the same reason
+   ([Flat_chunks]/[Boxed_chunks]).  Words per object, header included:
+   small boxed 5 + (n + 1) + 2n, small flat 5 + (n + 1). *)
 
 let slots_per_line = 8
+let small_max = 256
 let chunk_bits = 7
 let chunk_size = 1 lsl chunk_bits
 
-type 'a repr =
-  | Flat of 'a array array (* plain chunked slots: get/set only *)
-  | Boxed of 'a Atomic.t array array (* one Atomic cell per slot *)
+type 'a shadow = 'a Words.shadow_state option
 
-type 'a t = {
-  name : string;
-  base_line : int;
-  len : int;
-  repr : 'a repr;
-  shadow : 'a Words.shadow_state option;
-}
+type 'a t =
+  | Flat of { name : string; base_line : int; slots : 'a array; shadow : 'a shadow }
+  | Boxed of {
+      name : string;
+      base_line : int;
+      cells : 'a Atomic.t array; (* one Atomic cell per slot *)
+      shadow : 'a shadow;
+    }
+  | Flat_chunks of {
+      name : string;
+      base_line : int;
+      len : int;
+      chunks : 'a array array;
+      shadow : 'a shadow;
+    }
+  | Boxed_chunks of {
+      name : string;
+      base_line : int;
+      len : int;
+      chunks : 'a Atomic.t array array;
+      shadow : 'a shadow;
+    }
+
+let name = function
+  | Flat r -> r.name
+  | Boxed r -> r.name
+  | Flat_chunks r -> r.name
+  | Boxed_chunks r -> r.name
+
+let base_line = function
+  | Flat r -> r.base_line
+  | Boxed r -> r.base_line
+  | Flat_chunks r -> r.base_line
+  | Boxed_chunks r -> r.base_line
+
+let shadow = function
+  | Flat r -> r.shadow
+  | Boxed r -> r.shadow
+  | Flat_chunks r -> r.shadow
+  | Boxed_chunks r -> r.shadow
+
+let length = function
+  | Flat r -> Array.length r.slots
+  | Boxed r -> Array.length r.cells
+  | Flat_chunks r -> r.len
+  | Boxed_chunks r -> r.len
 
 let line_of_index i = i lsr 3
 let n_lines len = (len + slots_per_line - 1) / slots_per_line
-let length t = t.len
 
 (** Process-global line number of the line containing slot [i] (same
     identifier space as {!Line_id}) — see {!Words.global_line}. *)
-let global_line t i = t.base_line + line_of_index i
+let global_line t i = base_line t + line_of_index i
 
 (** Within-array half-open slot range [(lo, hi)] of the cache line
     containing slot [i] — see {!Words.line_extent}. *)
 let line_extent t i =
   let lo = line_of_index i * slots_per_line in
-  (lo, min t.len (lo + slots_per_line))
+  (lo, min (length t) (lo + slots_per_line))
 
-let read_slot t i =
-  match t.repr with
-  | Flat c ->
-      Array.unsafe_get
-        (Array.unsafe_get c (i lsr chunk_bits))
-        (i land (chunk_size - 1))
-  | Boxed c ->
-      Atomic.get
-        (Array.unsafe_get
-           (Array.unsafe_get c (i lsr chunk_bits))
-           (i land (chunk_size - 1)))
+let[@inline] chunk c i =
+  Array.unsafe_get (Array.unsafe_get c (i lsr chunk_bits)) (i land (chunk_size - 1))
 
-let write_slot t i v =
-  match t.repr with
-  | Flat c ->
+let[@inline] read_slot t i =
+  match t with
+  | Boxed r -> Atomic.get (Array.unsafe_get r.cells i)
+  | Flat r -> Array.unsafe_get r.slots i
+  | Boxed_chunks r -> Atomic.get (chunk r.chunks i)
+  | Flat_chunks r -> chunk r.chunks i
+
+let[@inline] write_slot t i v =
+  match t with
+  | Boxed r -> Atomic.set (Array.unsafe_get r.cells i) v
+  | Flat r -> Array.unsafe_set r.slots i v
+  | Boxed_chunks r -> Atomic.set (chunk r.chunks i) v
+  | Flat_chunks r ->
       Array.unsafe_set
-        (Array.unsafe_get c (i lsr chunk_bits))
+        (Array.unsafe_get r.chunks (i lsr chunk_bits))
         (i land (chunk_size - 1))
-        v
-  | Boxed c ->
-      Atomic.set
-        (Array.unsafe_get
-           (Array.unsafe_get c (i lsr chunk_bits))
-           (i land (chunk_size - 1)))
         v
 
 let mark_dirty t sh line =
   Words.bitset_set sh.Words.dirty line;
   if not (Atomic.get sh.Words.registered) then
-    Words.shadow_register t.name t.len (read_slot t) (write_slot t) sh
+    Words.shadow_register (name t) (length t) (read_slot t) (write_slot t) sh
 
 let make ?(name = "refs") ~atomic len init =
   if len <= 0 then invalid_arg "Refs.make: length must be positive";
@@ -100,44 +138,52 @@ let make ?(name = "refs") ~atomic len init =
   let base_line = Line_id.fresh lines in
   if !Mode.flags land Mode.f_hooked <> 0 then
     (!Hook.h).alloc name base_line lines;
-  let n_chunks = (len + chunk_size - 1) / chunk_size in
-  let chunk_len c = min chunk_size (len - (c * chunk_size)) in
-  let repr =
-    if atomic then
-      Boxed
-        (Array.init n_chunks (fun c ->
-             Array.init (chunk_len c) (fun _ -> Atomic.make init)))
-    else Flat (Array.init n_chunks (fun c -> Array.make (chunk_len c) init))
+  let shadow = Words.shadow_make len init in
+  let chunks mk =
+    Array.init
+      ((len + chunk_size - 1) / chunk_size)
+      (fun c -> mk (min chunk_size (len - (c * chunk_size))))
   in
-  let t = { name; base_line; len; repr; shadow = Words.shadow_make len init } in
+  let cells n = Array.init n (fun _ -> Atomic.make init) in
+  let t =
+    match (len <= small_max, atomic) with
+    | true, true -> Boxed { name; base_line; cells = cells len; shadow }
+    | true, false -> Flat { name; base_line; slots = Array.make len init; shadow }
+    | false, true -> Boxed_chunks { name; base_line; len; chunks = chunks cells; shadow }
+    | false, false ->
+        Flat_chunks
+          { name; base_line; len; chunks = chunks (fun n -> Array.make n init); shadow }
+  in
   Stats.add_allocation ~lines ~words:len;
-  (match t.shadow with
+  (match shadow with
   | Some sh -> Words.shadow_register name len (read_slot t) (write_slot t) sh
   | None -> ());
   t
 
 let[@inline] probe_llc t i =
-  if !Mode.flags land Mode.f_llc <> 0 then
-    Llc.access (t.base_line + line_of_index i)
+  if !Mode.flags land Mode.f_llc <> 0 then Llc.access (global_line t i)
 
 (* A slot is a release/acquire point iff the object is [~atomic:true]. *)
-let is_atomic t = match t.repr with Boxed _ -> true | Flat _ -> false
+let is_atomic = function
+  | Boxed _ | Boxed_chunks _ -> true
+  | Flat _ | Flat_chunks _ -> false
 
 (* {!Hook} store reporter — see {!Words.hook_store}. *)
 let hook_store t i v =
-  (!Hook.h).store t.name t.base_line i (is_atomic t)
-    (Words.shadow_persist t.shadow i v)
+  (!Hook.h).store (name t) (base_line t) i (is_atomic t)
+    (Words.shadow_persist (shadow t) i v)
+
+let hook_load t i = (!Hook.h).load (name t) (base_line t) i (is_atomic t)
 
 let get t i =
   probe_llc t i;
   (* Read first, report second — see {!Words.get}. *)
   let v = read_slot t i in
-  if !Mode.flags land Mode.f_hooked <> 0 then
-    (!Hook.h).load t.name t.base_line i (is_atomic t);
+  if !Mode.flags land Mode.f_hooked <> 0 then hook_load t i;
   v
 
 let dirty_line t i =
-  match t.shadow with
+  match shadow t with
   | None -> ()
   | Some sh -> mark_dirty t sh (line_of_index i)
 
@@ -147,60 +193,60 @@ let set t i v =
   write_slot t i v;
   dirty_line t i
 
+let cas_cell t i cell expected desired =
+  let ok = Atomic.compare_and_set cell expected desired in
+  if ok then dirty_line t i;
+  ok
+
 (* Physical-equality CAS: slots hold pointers, and pointer identity is what a
    hardware CAS on an 8-byte pointer compares.  Only legal on [~atomic:true]
    objects — a CAS on a plain slot would not be a synchronisation point. *)
 let cas t i ~expected ~desired =
   probe_llc t i;
   let cell =
-    match t.repr with
-    | Boxed c ->
-        Array.unsafe_get
-          (Array.unsafe_get c (i lsr chunk_bits))
-          (i land (chunk_size - 1))
-    | Flat _ ->
+    match t with
+    | Boxed r -> Array.unsafe_get r.cells i
+    | Boxed_chunks r -> chunk r.chunks i
+    | Flat _ | Flat_chunks _ ->
         invalid_arg
           (Printf.sprintf "Refs.%s: cas on a flat (~atomic:false) object"
-             t.name)
-  in
-  let op () =
-    let ok = Atomic.compare_and_set cell expected desired in
-    if ok then dirty_line t i;
-    ok
+             (name t))
   in
   if !Mode.flags land Mode.f_hooked <> 0 then
-    (!Hook.h).rmw t.name t.base_line i op
-      (Words.shadow_persist t.shadow i desired)
-  else op ()
+    (!Hook.h).rmw (name t) (base_line t) i
+      (fun () -> cas_cell t i cell expected desired)
+      (Words.shadow_persist (shadow t) i desired)
+  else cas_cell t i cell expected desired
 
 (** Sanitizer publication point — see {!Words.sanitize_publish}. *)
 let sanitize_publish ?site t i =
   if !Mode.flags land Mode.f_hooked <> 0 then
-    (!Hook.h).publish t.name t.base_line i site
+    (!Hook.h).publish (name t) (base_line t) i site
 
 (** Whether the line containing slot [i] has unpersisted stores.
     Conservatively [true] when shadow tracking is off — callers deciding
     whether a flush is still needed must then flush. *)
-let line_dirty t i = Words.shadow_line_dirty t.shadow i
+let line_dirty t i = Words.shadow_line_dirty (shadow t) i
 
 (** Flush the cache line containing slot [i] — see {!Words.clwb}. *)
 let clwb ?site t i =
-  if Words.flush_executes t.name t.base_line i site then begin
+  if Words.flush_executes (name t) (base_line t) i site then begin
     Stats.record_clwb ?site ();
     Latency.on_flush ();
-    match t.shadow with
+    match shadow t with
     | None -> ()
-    | Some sh -> Words.shadow_writeback t.len (read_slot t) sh (line_of_index i)
+    | Some sh ->
+        Words.shadow_writeback (length t) (read_slot t) sh (line_of_index i)
   end
 
 let clwb_all ?site t =
-  for l = 0 to n_lines t.len - 1 do
+  for l = 0 to n_lines (length t) - 1 do
     clwb ?site t (l * slots_per_line)
   done
 
 (* Dirty-lines-only variant; see {!Words.clwb_all_dirty}. *)
 let clwb_all_dirty ?site t =
-  match t.shadow with
+  match shadow t with
   | Some sh ->
       Words.bitset_iter sh.dirty (fun l -> clwb ?site t (l * slots_per_line))
   | None -> clwb_all ?site t

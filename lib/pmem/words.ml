@@ -52,19 +52,29 @@ type 'a shadow_state = {
   registered : bool Atomic.t;
 }
 
-type t = {
-  name : string;
-  base_line : int;
-  len : int;
-  data : int array; (* flat plain words — the fast path *)
+(* Everything a plain fast-mode object does not need, in one record.  Every
+   object with no atomic words and no shadow shares the single instance
+   {!plain}, so the hot accessors test [t.ext == plain] — one load from the
+   object itself and one compare — and then touch [data] alone. *)
+type ext = {
   atomic_idx : int array; (* sorted indices of declared atomic words *)
   atomic_cells : int Atomic.t array; (* parallel to [atomic_idx] *)
   shadow : int shadow_state option;
 }
 
+(* 5 words with its header; the length is [Array.length data]. *)
+type t = {
+  name : string;
+  base_line : int;
+  data : int array; (* flat plain words — the fast path *)
+  ext : ext;
+}
+
+let no_atomics : int array = [||]
+let plain = { atomic_idx = no_atomics; atomic_cells = [||]; shadow = None }
 let line_of_index i = i lsr 3
 let n_lines len = (len + words_per_line - 1) / words_per_line
-let length t = t.len
+let length t = Array.length t.data
 
 (** Process-global line number of the line containing word [i] — the same
     identifier space as {!Line_id}, {!Llc} and the fault/sanitizer hooks.
@@ -77,7 +87,7 @@ let global_line t i = t.base_line + line_of_index i
     transaction layer snapshots exactly this range as a line's undo image. *)
 let line_extent t i =
   let lo = line_of_index i * words_per_line in
-  (lo, min t.len (lo + words_per_line))
+  (lo, min (length t) (lo + words_per_line))
 
 (* --- dirty-line bitset -------------------------------------------------- *)
 
@@ -135,38 +145,35 @@ let bitset_iter dirty f =
 
 (* --- atomic control words ----------------------------------------------- *)
 
-let no_atomics : int array = [||]
-
-let atomic_cell t i =
-  let n = Array.length t.atomic_idx in
-  let rec find j =
-    if j = n then None
-    else if Array.unsafe_get t.atomic_idx j = i then
-      Some (Array.unsafe_get t.atomic_cells j)
-    else find (j + 1)
-  in
-  find 0
+(* Position of word [i] in [idx] from [j] on, or -1: allocation-free. *)
+let rec atomic_pos (idx : int array) (i : int) j =
+  if j = Array.length idx then -1
+  else if Array.unsafe_get idx j = i then j
+  else atomic_pos idx i (j + 1)
 
 let atomic_cell_exn t i =
-  match atomic_cell t i with
-  | Some c -> c
-  | None ->
-      invalid_arg
-        (Printf.sprintf
-           "Words.%s: word %d was not declared in ~atomic_words at make time"
-           t.name i)
+  let e = t.ext in
+  let j = atomic_pos e.atomic_idx i 0 in
+  if j < 0 then
+    invalid_arg
+      (Printf.sprintf
+         "Words.%s: word %d was not declared in ~atomic_words at make time"
+         t.name i);
+  Array.unsafe_get e.atomic_cells j
 
 (* Read/write a word wherever its authority lives (slow path: shadow image
    copies, crash revert, accesses to objects that declared atomic words). *)
 let read_word t i =
-  match atomic_cell t i with
-  | Some c -> Atomic.get c
-  | None -> Array.unsafe_get t.data i
+  let e = t.ext in
+  let j = atomic_pos e.atomic_idx i 0 in
+  if j < 0 then Array.unsafe_get t.data i
+  else Atomic.get (Array.unsafe_get e.atomic_cells j)
 
 let write_word t i v =
-  match atomic_cell t i with
-  | Some c -> Atomic.set c v
-  | None -> Array.unsafe_set t.data i v
+  let e = t.ext in
+  let j = atomic_pos e.atomic_idx i 0 in
+  if j < 0 then Array.unsafe_set t.data i v
+  else Atomic.set (Array.unsafe_get e.atomic_cells j) v
 
 (* --- shadow (crash/durability) machinery --------------------------------
 
@@ -220,7 +227,8 @@ let shadow_line_dirty shadow i =
   | Some sh -> bitset_mem sh.dirty (line_of_index i)
   | None -> true
 
-let register t sh = shadow_register t.name t.len (read_word t) (write_word t) sh
+let register t sh =
+  shadow_register t.name (length t) (read_word t) (write_word t) sh
 
 let mark_dirty t sh line =
   bitset_set sh.dirty line;
@@ -244,23 +252,24 @@ let make ?(name = "words") ?(atomic_words = []) len init =
           a;
         a
   in
-  let atomic_cells = Array.map (fun _ -> Atomic.make init) atomic_idx in
   let shadow = shadow_make len init in
-  let t =
-    { name; base_line; len; data = Array.make len init; atomic_idx;
-      atomic_cells; shadow }
+  let ext =
+    if atomic_idx == no_atomics && Option.is_none shadow then plain
+    else
+      { atomic_idx; atomic_cells = Array.map (fun _ -> Atomic.make init) atomic_idx;
+        shadow }
   in
+  let t = { name; base_line; data = Array.make len init; ext } in
   Stats.add_allocation ~lines ~words:len;
   (* Allocation stores are in-cache only until explicitly flushed. *)
-  (match t.shadow with Some sh -> register t sh | None -> ());
+  (match shadow with Some sh -> register t sh | None -> ());
   t
 
 (* --- hot-path accessors -------------------------------------------------
 
    One load of the packed {!Mode.flags} word decides every per-epoch
-   simulator feature; the per-object tests ([atomic_idx], [shadow]) are
-   single immediate-field checks that predict perfectly on the fast-mode
-   benchmark path. *)
+   simulator feature; the per-object test is the one [t.ext == plain]
+   compare, which predicts perfectly on the fast-mode benchmark path. *)
 
 let[@inline] probe_llc t i =
   if !Mode.flags land Mode.f_llc <> 0 then
@@ -270,11 +279,11 @@ let[@inline] probe_llc t i =
    flags test + branch.  A word is a release/acquire point iff it was
    declared in [~atomic_words]. *)
 
-let is_atomic_word t i = atomic_cell t i <> None
+let is_atomic_word t i = atomic_pos t.ext.atomic_idx i 0 >= 0
 
 let hook_store t i v =
   (!Hook.h).store t.name t.base_line i (is_atomic_word t i)
-    (shadow_persist t.shadow i v)
+    (shadow_persist t.ext.shadow i v)
 
 let hook_load t i = (!Hook.h).load t.name t.base_line i (is_atomic_word t i)
 
@@ -285,35 +294,39 @@ let get t i =
      before writing), or a publish racing this load could slip between the
      sanitizer's join and the read. *)
   let v =
-    if t.atomic_idx == no_atomics then Array.unsafe_get t.data i
-    else read_word t i
+    if t.ext == plain then Array.unsafe_get t.data i else read_word t i
   in
   if !Mode.flags land Mode.f_hooked <> 0 then hook_load t i;
   v
 
 let dirty_line t i =
-  match t.shadow with
+  match t.ext.shadow with
   | None -> ()
   | Some sh -> mark_dirty t sh (line_of_index i)
+
+let set_slow t i v =
+  write_word t i v;
+  dirty_line t i
 
 let set t i v =
   probe_llc t i;
   if !Mode.flags land Mode.f_hooked <> 0 then hook_store t i v;
-  if t.atomic_idx == no_atomics then Array.unsafe_set t.data i v
-  else write_word t i v;
-  dirty_line t i
+  if t.ext == plain then Array.unsafe_set t.data i v else set_slow t i v
 
+let cas_cell t i cell expected desired =
+  let ok = Atomic.compare_and_set cell expected desired in
+  if ok then dirty_line t i;
+  ok
+
+(* The closure for the {!Hook} layers is built only when one is installed. *)
 let cas t i ~expected ~desired =
   probe_llc t i;
   let cell = atomic_cell_exn t i in
-  let op () =
-    let ok = Atomic.compare_and_set cell expected desired in
-    if ok then dirty_line t i;
-    ok
-  in
   if !Mode.flags land Mode.f_hooked <> 0 then
-    (!Hook.h).rmw t.name t.base_line i op (shadow_persist t.shadow i desired)
-  else op ()
+    (!Hook.h).rmw t.name t.base_line i
+      (fun () -> cas_cell t i cell expected desired)
+      (shadow_persist t.ext.shadow i desired)
+  else cas_cell t i cell expected desired
 
 let fetch_add t i delta =
   probe_llc t i;
@@ -326,7 +339,7 @@ let fetch_add t i delta =
   in
   (if !Mode.flags land Mode.f_hooked <> 0 then
      let persist () =
-       match t.shadow with
+       match t.ext.shadow with
        | Some sh -> sh.image.(i) <- !v + delta
        | None -> ()
      in
@@ -346,7 +359,7 @@ let sanitize_publish ?site t i =
 (** Whether the line containing word [i] has unpersisted stores.
     Conservatively [true] when shadow tracking is off — callers deciding
     whether a flush is still needed must then flush. *)
-let line_dirty t i = shadow_line_dirty t.shadow i
+let line_dirty t i = shadow_line_dirty t.ext.shadow i
 
 (* Whether a flush of word [i] executes: not under DRAM mode, and not
    dropped by a {!Hook} layer (which may also raise instead). *)
@@ -362,14 +375,14 @@ let clwb ?site t i =
   if flush_executes t.name t.base_line i site then begin
     Stats.record_clwb ?site ();
     Latency.on_flush ();
-    match t.shadow with
+    match t.ext.shadow with
     | None -> ()
-    | Some sh -> shadow_writeback t.len (read_word t) sh (line_of_index i)
+    | Some sh -> shadow_writeback (length t) (read_word t) sh (line_of_index i)
   end
 
 (** Flush every line of the object (e.g. right after allocation). *)
 let clwb_all ?site t =
-  for l = 0 to n_lines t.len - 1 do
+  for l = 0 to n_lines (length t) - 1 do
     clwb ?site t (l * words_per_line)
   done
 
@@ -380,7 +393,7 @@ let clwb_all ?site t =
     landing on a genuinely dirty line — the sanitizer reports a flush of an
     already-persisted line as redundant. *)
 let clwb_all_dirty ?site t =
-  match t.shadow with
+  match t.ext.shadow with
   | Some sh ->
       bitset_iter sh.dirty (fun l -> clwb ?site t (l * words_per_line))
   | None -> clwb_all ?site t

@@ -383,6 +383,29 @@ let test_durability () =
   done;
   Pmem.Mode.set_shadow false
 
+(* --- footprint: host words per key, allocation per lookup ------------- *)
+
+let test_words_per_key () =
+  let w = Harness.Footprint.art_per_key 100_000 in
+  if w > 21. then Alcotest.failf "P-ART holds %.2f words per key (> 21)" w
+
+(* A lookup of a present key allocates only its [Some] (2 words) with the
+   sanitizer off; with it on, every metadata read opens a speculation
+   window, which allocates by design. *)
+let test_lookup_allocation () =
+  if Pmem.Mode.sanitize_enabled () then Alcotest.skip ();
+  let n = 10_000 in
+  let keys = Array.init n (fun i -> Util.Keys.encode_int ((i * 7919) + 1)) in
+  let t = Art.create () in
+  Array.iteri (fun i k -> ignore (Art.insert t k i)) keys;
+  let before = Gc.minor_words () in
+  for i = 0 to n - 1 do
+    ignore (Sys.opaque_identity (Art.lookup t (Array.unsafe_get keys i)))
+  done;
+  let per_call = (Gc.minor_words () -. before) /. float_of_int n in
+  if per_call > 2. then
+    Alcotest.failf "Art.lookup allocates %.3f minor words per call (> 2)" per_call
+
 let () =
   Alcotest.run "art"
     [
@@ -413,4 +436,9 @@ let () =
             test_helper_fires_on_smo_crash;
         ] );
       ("durability", [ Alcotest.test_case "no dirty lines" `Quick test_durability ]);
+      ( "footprint",
+        [
+          Alcotest.test_case "words per key" `Quick test_words_per_key;
+          Alcotest.test_case "lookup allocation" `Quick test_lookup_allocation;
+        ] );
     ]

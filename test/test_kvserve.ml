@@ -743,6 +743,9 @@ let test_server_hash_partition () =
    negative integer) is answered [Bad_request] on the submitting domain,
    on the queued and the direct path alike and inside a transaction; the
    workers never see it, so the service keeps serving. *)
+(* [Util.Keys.decode_int] of this key drops bit 63 and gives 5. *)
+let alias5 = "\x80\x00\x00\x00\x00\x00\x00\x05"
+
 let test_bad_keys_rejected () =
   List.iter
     (fun e ->
@@ -781,6 +784,7 @@ let test_bad_keys_rejected () =
                   ik 0;
                   "\xff\xff\xff\xff\xff\xff\xff\xfd";
                   "\x40\x00\x00\x00\x00\x00\x00\x00";
+                  alias5;
                 ];
               let resp =
                 Server.submit srv
@@ -791,6 +795,15 @@ let test_bad_keys_rejected () =
                 true
                 (resp.Wire.status = Wire.Ok
                 && resp.Wire.replies = [ Wire.Done true; Wire.Found 15 ]);
+              (* Bit 63 set: once dropped, the key would be [ik 5]. *)
+              List.iter
+                (fun (what, op) ->
+                  Alcotest.(check bool)
+                    (Printf.sprintf "%s: %s of the key aliasing 5 gets Bad_request"
+                       e.Harness.Index.name what)
+                    true
+                    (status [ op ] = Wire.Bad_request))
+                [ ("put", Wire.Put (alias5, 99)); ("get", Wire.Get alias5) ];
               Alcotest.(check bool)
                 (e.Harness.Index.name ^ ": direct Get after the rejections")
                 true

@@ -20,6 +20,30 @@ let test_lock_epoch_recovery () =
   Alcotest.(check bool) "reacquire after recovery" true (Util.Lock.try_lock l);
   Util.Lock.unlock l
 
+(* The sanitizer id shares the lock word with the epoch: each lock reports
+   one id on every acquire and release, distinct locks report distinct
+   ids, and recovery frees a lock without losing its id. *)
+let test_lock_sanitizer_ids () =
+  let events = ref [] in
+  Util.Lock.set_hooks
+    ~acquired:(fun id -> events := (`Acq, id) :: !events)
+    ~released:(fun id -> events := (`Rel, id) :: !events);
+  Fun.protect ~finally:Util.Lock.clear_hooks (fun () ->
+      let a = Util.Lock.create () and b = Util.Lock.create () in
+      Util.Lock.with_lock a ignore;
+      Util.Lock.with_lock b ignore;
+      Util.Lock.lock a;
+      Util.Lock.new_epoch ();
+      Alcotest.(check bool) "freed by recovery" false (Util.Lock.is_locked a);
+      Util.Lock.with_lock a ignore;
+      match List.rev !events with
+      | [ (`Acq, a1); (`Rel, a2); (`Acq, b1); (`Rel, b2); (`Acq, a3); (`Acq, a4); (`Rel, a5) ]
+        ->
+          Alcotest.(check bool) "one id per lock" true
+            (a1 = a2 && a2 = a3 && a3 = a4 && a4 = a5 && b1 = b2);
+          Alcotest.(check bool) "distinct locks, distinct ids" true (a1 <> b1)
+      | _ -> Alcotest.fail "unexpected hook sequence")
+
 let test_lock_mutual_exclusion () =
   let l = Util.Lock.create () in
   let counter = ref 0 in
@@ -188,6 +212,7 @@ let () =
         [
           Alcotest.test_case "basic" `Quick test_lock_basic;
           Alcotest.test_case "epoch recovery" `Quick test_lock_epoch_recovery;
+          Alcotest.test_case "sanitizer ids" `Quick test_lock_sanitizer_ids;
           Alcotest.test_case "mutual exclusion" `Quick test_lock_mutual_exclusion;
         ] );
       ( "rng",
