@@ -26,7 +26,7 @@ let handle_conn srv fd =
     match Unix.read fd buf 0 (Bytes.length buf) with
     | 0 -> ()
     | n ->
-        let out = Server.Conn.feed conn (Bytes.sub_string buf 0 n) in
+        let out = Server.Conn.feed_bytes conn buf n in
         if String.length out > 0 then Sockio.write_all fd out;
         if not (Server.Conn.broken conn) then loop ()
     | exception Unix.Unix_error _ -> ()
@@ -99,6 +99,19 @@ let smoke_client port scan_supported errors () =
     let r = roundtrip [ Wire.Delete (key 7); Wire.Get (key 7) ] in
     check "delete then absent"
       (r.Wire.status = Wire.Ok && r.Wire.replies = [ Wire.Done true; Wire.Absent ]);
+    (* A small write request runs on the connection's domain under a shard
+       claim (a direct write), which the stats endpoint counts. *)
+    let r = roundtrip [ Wire.Put (key 70, 700) ] in
+    check "small put acked"
+      (r.Wire.status = Wire.Ok && r.Wire.replies = [ Wire.Done true ]);
+    let r = roundtrip [ Wire.Stats ] in
+    check "direct writes counted"
+      (match r.Wire.replies with
+      | [ Wire.Stats_reply fields ] -> (
+          match List.assoc_opt "direct_writes" fields with
+          | Some n -> n > 0
+          | None -> false)
+      | _ -> false);
     if scan_supported then begin
       let r = roundtrip [ Wire.Scan (key 1, 5) ] in
       check "scan merged across shards"

@@ -6,7 +6,7 @@
    server's snapshot as a human-readable report: serving counters, epoch
    progress (advances, ops/epoch, parked acks) when the server runs in
    epoch mode, pmem flush/fence cost per acked op, ack percentiles, and
-   the direct-read counters, and the per-shard
+   the direct-read and direct-write counters, and the per-shard
    queue/apply/epoch_wait/fence/ack phase decomposition
    (populated when the server runs with spans enabled, e.g. --trace-out).
 
@@ -54,6 +54,10 @@ let render fields =
     "direct reads: %d Get(s) answered on the submitting domain, %d fell back \
      to the queue\n"
     (f "direct_gets") (f "direct_fallbacks");
+  Printf.printf
+    "direct writes: %d op(s) applied under a submitter's shard claim, %d \
+     fell back to the queue\n"
+    (f "direct_writes") (f "direct_write_fallbacks");
   if epoch_mode then begin
     let epochs = f "epochs" in
     let pending =
@@ -148,7 +152,7 @@ let smoke_mode () =
           match Unix.read fd buf 0 (Bytes.length buf) with
           | 0 -> ()
           | n ->
-              let out = Server.Conn.feed conn (Bytes.sub_string buf 0 n) in
+              let out = Server.Conn.feed_bytes conn buf n in
               if String.length out > 0 then Sockio.write_all fd out;
               if not (Server.Conn.broken conn) then loop ()
           | exception Unix.Unix_error _ -> ()

@@ -54,6 +54,11 @@ let s_split = site ~crash:true "split-prefix"
 let s_shrink = site ~crash:true "shrink"
 let s_recover = site "recover"
 
+(* The fresh-leaf insert path passes its sites pre-wrapped: [~site:s] to an
+   optional [?site] allocates a [Some] on every call. *)
+let o_alloc_leaf = Some s_alloc_leaf
+let o_add_child = Some s_add_child
+
 type kind = N4 | N16 | N48 | N256
 
 (* A leaf is carried inline in its [CLeaf] block: one block per key, whose
@@ -90,12 +95,11 @@ let packed_set w slot i b =
   let v = W.get w word in
   W.set w word (v land lnot (0xFF lsl sh) lor (b lsl sh))
 
-let pack_string s off len =
-  let n = min len 7 in
-  let rec go i acc =
-    if i >= n then acc else go (i + 1) (acc lor (byte s (off + i) lsl (i * 8)))
-  in
-  go 0 0
+let rec pack_from s off n i acc =
+  if i >= n then acc
+  else pack_from s off n (i + 1) (acc lor (byte s (off + i) lsl (i * 8)))
+
+let pack_string s off len = pack_from s off (min len 7) 0 0
 
 (* --- header accessors -------------------------------------------------------- *)
 
@@ -162,13 +166,15 @@ let make_leaf key value =
   let cells = W.make ~name:"art.leaf" (1 + ((String.length key + 7) / 8)) 0 in
   W.set cells 0 value;
   (* key bytes stored for line accounting; [lkey] is the source of truth *)
-  String.iteri (fun i c -> if i mod 8 = 0 then W.set cells (1 + (i / 8)) (Char.code c)) key;
+  for j = 0 to ((String.length key + 7) / 8) - 1 do
+    W.set cells (1 + j) (byte key (8 * j))
+  done;
   CLeaf { lkey = key; cells }
 
-let persist_leaf ?(site = s_alloc_leaf) = function
+let persist_leaf site = function
   | CLeaf l ->
-      W.clwb_all ~site l.cells;
-      Pmem.sfence ~site ()
+      W.clwb_all ?site l.cells;
+      Pmem.sfence ?site ()
   | CNull | CInner _ -> assert false
 
 let create () =
@@ -282,33 +288,33 @@ let add_child n b child =
   match n.kind with
   | N4 | N16 ->
       let j = count n in
-      P.store_ref ~site:s_add_child n.children j child;
-      R.clwb ~site:s_add_child n.children j;
-      Pmem.sfence ~site:s_add_child ();
-      Pmem.Crash.point ~site:s_add_child ();
+      P.store_ref ?site:o_add_child n.children j child;
+      R.clwb ?site:o_add_child n.children j;
+      Pmem.sfence ?site:o_add_child ();
+      Pmem.Crash.point ?site:o_add_child ();
       (* Key byte and count share the header line: the count increment is
          the single atomic commit (§6.4 "atomically made visible by
          increasing counter value"). *)
       set_key_byte n j b;
-      P.commit ~site:s_add_child n.header 0 (j + 1) [@pm.deferred]
+      P.commit ?site:o_add_child n.header 0 (j + 1) [@pm.deferred]
   | N48 ->
       let j = count n in
-      P.store_ref ~site:s_add_child n.children j child;
-      R.clwb ~site:s_add_child n.children j;
-      Pmem.sfence ~site:s_add_child ();
-      Pmem.Crash.point ~site:s_add_child ();
-      P.commit ~site:s_add_child n.header 0 (j + 1);
-      Pmem.Crash.point ~site:s_add_child ();
+      P.store_ref ?site:o_add_child n.children j child;
+      R.clwb ?site:o_add_child n.children j;
+      Pmem.sfence ?site:o_add_child ();
+      Pmem.Crash.point ?site:o_add_child ();
+      P.commit ?site:o_add_child n.header 0 (j + 1);
+      Pmem.Crash.point ?site:o_add_child ();
       (* The index-byte store commits visibility. *)
       set_index_byte n b (j + 1);
       (match n.index with
       | Some iw ->
-          W.clwb ~site:s_add_child iw (b / 7);
-          Pmem.sfence ~site:s_add_child ()
+          W.clwb ?site:o_add_child iw (b / 7);
+          Pmem.sfence ?site:o_add_child ()
       | None -> ())
   | N256 ->
       ignore
-        (P.commit_cas_ref ~site:s_add_child n.children b ~expected:CNull
+        (P.commit_cas_ref ?site:o_add_child n.children b ~expected:CNull
            ~desired:child)
 
 let replace_child n b child =
@@ -356,14 +362,18 @@ let remove_child n b =
           P.commit_ref ~site:s_child_commit n.children b CNull;
           true)
 
-(* Copy of [n] one size up with (b, child) added; fresh and unpublished. *)
+(* Copy of [n] one size up with (b, child) added; fresh and unpublished.
+   The live children are copied in ascending byte order, read in the same
+   order [children_in_order] reads them, without building its list: a
+   Node4/16's go through two small arrays sorted in place, a Node48's are
+   already in byte order. *)
 let grow_with n b child =
   let bigger = match n.kind with N4 -> N16 | N16 -> N48 | N48 -> N256 | N256 -> assert false in
   let g =
     make_node bigger ~level:(level n) ~prefix_len:(prefix_len n)
       ~prefix_word:(W.get n.header 3)
   in
-  let add (b, ch) =
+  let add b ch =
     match g.kind with
     | N4 | N16 ->
         let j = W.get g.header 0 in
@@ -377,8 +387,40 @@ let grow_with n b child =
         W.set g.header 0 (j + 1)
     | N256 -> R.set g.children b ch
   in
-  List.iter add (children_in_order n);
-  add (b, child);
+  (match n.kind with
+  | N4 | N16 ->
+      let c = count n in
+      let bs = Array.make c 0 and chs = Array.make c CNull in
+      let live = ref 0 in
+      for j = 0 to c - 1 do
+        match R.get n.children j with
+        | CNull -> ()
+        | ch ->
+            (* Insertion sort: bytes are distinct among live slots. *)
+            let kb = key_byte n j in
+            let i = ref !live in
+            while !i > 0 && bs.(!i - 1) > kb do
+              bs.(!i) <- bs.(!i - 1);
+              chs.(!i) <- chs.(!i - 1);
+              decr i
+            done;
+            bs.(!i) <- kb;
+            chs.(!i) <- ch;
+            incr live
+      done;
+      for i = 0 to !live - 1 do
+        add bs.(i) chs.(i)
+      done
+  | N48 ->
+      for kb = 0 to 255 do
+        let idx = index_byte n kb in
+        if idx <> 0 then
+          match R.get n.children (idx - 1) with
+          | CNull -> ()
+          | ch -> add kb ch
+      done
+  | N256 -> assert false);
+  add b child;
   g
 
 (* Copy of [n] at the smallest kind that fits [entries]; fresh and
@@ -468,22 +510,27 @@ let update t key value = update_from key (String.length key) value t.root 0
 
 (* --- path revalidation (after taking locks) ------------------------------------ *)
 
-(* Re-descend by [level] fields and check we reach [node] (physically), with
-   [parent] as its immediate parent when given. *)
+(* Re-descend by [level] fields from [n] (reached from [prev]; [prev == n]
+   at the root) and check we reach [node] (physically) with [p] as its
+   immediate parent, unless [pb < 0] (no parent to check).  A top-level
+   recursion, so an insert's revalidation allocates nothing. *)
+let rec validate_from key klen prev n node p pb =
+  if n == node then pb < 0 || (prev != n && prev == p)
+  else
+    let d' = level n in
+    if d' >= klen then false
+    else
+      match find_child n (byte key d') with
+      | CInner m -> validate_from key klen n m node p pb
+      | CLeaf _ | CNull -> false
+
+(* Re-descend and check we reach [node], with [parent] as its immediate
+   parent when given. *)
 let validate t key ?parent node =
   let klen = String.length key in
-  let rec go prev n =
-    if n == node then
-      match parent with None -> true | Some p -> (match prev with Some q -> q == p | None -> false)
-    else
-      let d' = level n in
-      if d' >= klen then false
-      else
-        match find_child n (byte key d') with
-        | CInner m -> go (Some n) m
-        | CLeaf _ | CNull -> false
-  in
-  go None t.root
+  match parent with
+  | None -> validate_from key klen t.root t.root node t.root (-1)
+  | Some p -> validate_from key klen t.root t.root node p 0
 
 (* --- the Condition #3 helper: fix a crash-stale prefix -------------------------- *)
 
@@ -501,12 +548,36 @@ let fix_prefix t n depth =
 (* --- insert ------------------------------------------------------------------------ *)
 
 (* Longest common prefix of key[off..] and other[off..]. *)
+let rec common_run key other off n i =
+  if i < n && byte key (off + i) = byte other (off + i) then
+    common_run key other off n (i + 1)
+  else i
+
 let common_from key other off =
-  let n = min (String.length key) (String.length other) - off in
-  let rec go i = if i < n && byte key (off + i) = byte other (off + i) then go (i + 1) else i in
-  go 0
+  common_run key other off (min (String.length key) (String.length other) - off) 0
 
 exception Retry
+
+(* How many of [n]'s [epl] prefix bytes match [key] from [depth]: its
+   stored bytes when [epl <= 7], else a leaf's (allocating, but only for a
+   prefix longer than the header holds); -1 when no leaf is left to
+   reconstruct from. *)
+let rec stored_match n key depth epl i =
+  if i < epl && prefix_byte n i = byte key (depth + i) then
+    stored_match n key depth epl (i + 1)
+  else i
+
+let prefix_match n key depth epl =
+  if epl <= 7 then stored_match n key depth epl 0
+  else
+    match authoritative_prefix n depth with
+    | Some prefix ->
+        let rec go i =
+          if i < epl && byte key (depth + i) = byte prefix i then go (i + 1)
+          else i
+        in
+        go 0
+    | None -> -1
 
 let rec insert t key value =
   match insert_attempt t key value with
@@ -516,92 +587,82 @@ let rec insert t key value =
       insert t key value
 
 and insert_attempt t key value =
-  let klen = String.length key in
-  let rec step parent n depth =
-    let epl = level n - depth in
-    if depth + epl >= klen then
-      invalid_arg "Art.insert: key is a prefix of an existing key";
-    let pl = prefix_len n in
-    if pl <> epl then begin
-      (* Inconsistent header.  Try-lock distinguishes a transient state
-         (another writer mid-SMO: fail, retry) from a permanent crash
-         leftover, which this writer must fix (§6.4). *)
-      if Lock.try_lock n.lock then begin
-        if validate t key ?parent:(Option.map fst parent) n then fix_prefix t n depth;
-        Lock.unlock n.lock
-      end;
-      raise Retry
-    end
+  insert_from t key (String.length key) value t.root (-1) t.root 0
+
+(* One level of the descent: [n] at [depth], reached from parent [p] by
+   byte [pb] ([pb < 0] at the root, where [p] is unused).  Parent, byte and
+   depth travel as arguments, so a descent allocates nothing per level. *)
+and insert_from t key klen value p pb n depth =
+  let epl = level n - depth in
+  if depth + epl >= klen then
+    invalid_arg "Art.insert: key is a prefix of an existing key";
+  let pl = prefix_len n in
+  if pl <> epl then begin
+    (* Inconsistent header.  Try-lock distinguishes a transient state
+       (another writer mid-SMO: fail, retry) from a permanent crash
+       leftover, which this writer must fix (§6.4). *)
+    if Lock.try_lock n.lock then begin
+      if validate_from key klen t.root t.root n p pb then fix_prefix t n depth;
+      Lock.unlock n.lock
+    end;
+    raise Retry
+  end
+  else begin
+    let matched = prefix_match n key depth epl in
+    if matched < 0 then raise Retry
+    else if matched < epl then split_prefix t p pb n depth matched key value
     else begin
-      let prefix =
-        if epl = 0 then ""
-        else
-          match authoritative_prefix n depth with
-          | Some p -> p
-          | None -> raise Retry
-      in
-      let matched =
-        let rec go i =
-          if i < epl && byte key (depth + i) = Char.code prefix.[i] then go (i + 1)
-          else i
-        in
-        go 0
-      in
-      if matched < epl then split_prefix t parent n depth prefix matched key value
-      else begin
-        let d' = depth + epl in
-        let b = byte key d' in
-        match find_child n b with
-        | CNull -> add_leaf t parent n b key value
-        | CLeaf { lkey = k2; _ } as l2 ->
-            if String.equal k2 key then false
-            else begin
-              (* Diverge below: build the chain node, then swap the slot —
-                 a single-pointer Condition #1 commit. *)
-              Lock.lock n.lock;
-              if not (validate t key ?parent:(Option.map fst parent) n) then begin
+      let d' = depth + epl in
+      let b = byte key d' in
+      match find_child n b with
+      | CNull -> add_leaf t p pb n b key klen value
+      | CLeaf { lkey = k2; _ } as l2 ->
+          if String.equal k2 key then false
+          else begin
+            (* Diverge below: build the chain node, then swap the slot —
+               a single-pointer Condition #1 commit. *)
+            Lock.lock n.lock;
+            if not (validate_from key klen t.root t.root n p pb) then begin
+              Lock.unlock n.lock;
+              raise Retry
+            end;
+            (match find_child n b with
+            | l2' when l2' == l2 ->
+                let off = d' + 1 in
+                let cl = common_from key k2 off in
+                if off + cl >= klen || off + cl >= String.length k2 then begin
+                  Lock.unlock n.lock;
+                  invalid_arg "Art.insert: keys must be prefix-free"
+                end;
+                let nn =
+                  make_node N4 ~level:(off + cl) ~prefix_len:cl
+                    ~prefix_word:(pack_string key off cl)
+                in
+                let lf = make_leaf key value in
+                R.set nn.children 0 lf;
+                packed_set nn.header 4 0 (byte key (off + cl));
+                R.set nn.children 1 l2;
+                packed_set nn.header 4 1 (byte k2 (off + cl));
+                W.set nn.header 0 2;
+                persist_leaf (Some s_chain) lf;
+                persist_node ~site:s_chain nn;
+                Pmem.Crash.point ~site:s_chain ();
+                replace_child n b (CInner nn);
                 Lock.unlock n.lock;
-                raise Retry
-              end;
-              (match find_child n b with
-              | l2' when l2' == l2 ->
-                  let off = d' + 1 in
-                  let cl = common_from key k2 off in
-                  if off + cl >= klen || off + cl >= String.length k2 then begin
-                    Lock.unlock n.lock;
-                    invalid_arg "Art.insert: keys must be prefix-free"
-                  end;
-                  let nn =
-                    make_node N4 ~level:(off + cl) ~prefix_len:cl
-                      ~prefix_word:(pack_string key off cl)
-                  in
-                  let lf = make_leaf key value in
-                  R.set nn.children 0 lf;
-                  packed_set nn.header 4 0 (byte key (off + cl));
-                  R.set nn.children 1 l2;
-                  packed_set nn.header 4 1 (byte k2 (off + cl));
-                  W.set nn.header 0 2;
-                  persist_leaf ~site:s_chain lf;
-                  persist_node ~site:s_chain nn;
-                  Pmem.Crash.point ~site:s_chain ();
-                  replace_child n b (CInner nn);
-                  Lock.unlock n.lock;
-                  true
-              | _ ->
-                  Lock.unlock n.lock;
-                  raise Retry)
-            end
-        | CInner m -> step (Some (n, b)) m (d' + 1)
-      end
+                true
+            | _ ->
+                Lock.unlock n.lock;
+                raise Retry)
+          end
+      | CInner m -> insert_from t key klen value n b m (d' + 1)
     end
-  in
-  step None t.root 0
+  end
 
 (* Add a fresh leaf under [n] at byte [b]; grows [n] (parent-pointer swap)
    when out of slots. *)
-and add_leaf t parent n b key value =
+and add_leaf t p pb n b key klen value =
   Lock.lock n.lock;
-  if not (validate t key ?parent:(Option.map fst parent) n) then begin
+  if not (validate_from key klen t.root t.root n p pb) then begin
     Lock.unlock n.lock;
     raise Retry
   end;
@@ -612,77 +673,80 @@ and add_leaf t parent n b key value =
   | CNull ->
       if not (is_full n) then begin
         let lf = make_leaf key value in
-        persist_leaf lf;
-        Pmem.Crash.point ~site:s_add_child ();
+        persist_leaf o_alloc_leaf lf;
+        Pmem.Crash.point ?site:o_add_child ();
         add_child n b lf;
         Lock.unlock n.lock;
         true
       end
       else begin
         Lock.unlock n.lock;
-        grow_and_add t parent n b key value
+        grow_and_add t p pb n b key klen value
       end
 
 (* Replace [n] with a one-size-up copy containing the new leaf (the copy
    also drops delete tombstones); the parent slot swap is the single atomic
    commit. *)
-and grow_and_add t parent n b key value =
-  match parent with
-  | None ->
-      (* The root is a Node256 and can never fill. *)
-      assert false
-  | Some (p, pb) ->
-      Lock.lock p.lock;
-      Lock.lock n.lock;
-      let parent_ok =
-        match find_child p pb with CInner m -> m == n | CLeaf _ | CNull -> false
-      in
-      if (not parent_ok) || not (validate t key ~parent:p n) then begin
-        Lock.unlock n.lock;
-        Lock.unlock p.lock;
-        raise Retry
-      end;
-      (match find_child n b with
-      | CLeaf _ | CInner _ ->
-          Lock.unlock n.lock;
-          Lock.unlock p.lock;
-          raise Retry
-      | CNull -> ());
-      let lf = make_leaf key value in
-      persist_leaf ~site:s_grow lf;
-      let g = grow_with n b lf in
-      persist_node ~site:s_grow g;
-      Pmem.Crash.point ~site:s_grow ();
-      replace_child p pb (CInner g);
+and grow_and_add t p pb n b key klen value =
+  (* The root is a Node256 and can never fill. *)
+  assert (pb >= 0);
+  Lock.lock p.lock;
+  Lock.lock n.lock;
+  let parent_ok =
+    match find_child p pb with CInner m -> m == n | CLeaf _ | CNull -> false
+  in
+  if (not parent_ok) || not (validate_from key klen t.root t.root n p pb)
+  then begin
+    Lock.unlock n.lock;
+    Lock.unlock p.lock;
+    raise Retry
+  end;
+  (match find_child n b with
+  | CLeaf _ | CInner _ ->
       Lock.unlock n.lock;
       Lock.unlock p.lock;
-      true
+      raise Retry
+  | CNull -> ());
+  let lf = make_leaf key value in
+  persist_leaf (Some s_grow) lf;
+  let g = grow_with n b lf in
+  persist_node ~site:s_grow g;
+  Pmem.Crash.point ~site:s_grow ();
+  replace_child p pb (CInner g);
+  Lock.unlock n.lock;
+  Lock.unlock p.lock;
+  true
 
 (* Path-compression split, the Condition #3 SMO.  Step 1: persist and
    install a new parent holding the new leaf and the old node (one pointer
    swap).  Step 2: rewrite the old node's now-shorter prefix.  A crash
    between the steps leaves the stale prefix that readers tolerate and the
-   next writer's helper fixes. *)
-and split_prefix t parent n depth prefix matched key value =
-  match parent with
-  | None -> assert false (* the root has no prefix *)
-  | Some (p, pb) ->
-      Lock.lock p.lock;
-      Lock.lock n.lock;
-      let parent_ok =
-        match find_child p pb with CInner m -> m == n | CLeaf _ | CNull -> false
-      in
-      let epl = level n - depth in
-      if
-        (not parent_ok)
-        || not (validate t key ~parent:p n)
-        || prefix_len n <> epl
-        || matched >= epl
-      then begin
-        Lock.unlock n.lock;
-        Lock.unlock p.lock;
-        raise Retry
-      end;
+   next writer's helper fixes.  The prefix bytes are read under the locks,
+   where the validated path and [prefix_len n = epl] pin them. *)
+and split_prefix t p pb n depth matched key value =
+  (* The root has no prefix. *)
+  assert (pb >= 0);
+  Lock.lock p.lock;
+  Lock.lock n.lock;
+  let parent_ok =
+    match find_child p pb with CInner m -> m == n | CLeaf _ | CNull -> false
+  in
+  let epl = level n - depth in
+  let prefix =
+    if
+      (not parent_ok)
+      || not (validate_from key (String.length key) t.root t.root n p pb)
+      || prefix_len n <> epl
+      || matched >= epl
+    then None
+    else authoritative_prefix n depth
+  in
+  match prefix with
+  | None ->
+      Lock.unlock n.lock;
+      Lock.unlock p.lock;
+      raise Retry
+  | Some prefix ->
       let d' = depth + matched in
       let nn =
         make_node N4 ~level:d' ~prefix_len:matched
@@ -694,7 +758,7 @@ and split_prefix t parent n depth prefix matched key value =
       R.set nn.children 1 (CInner n);
       packed_set nn.header 4 1 (Char.code prefix.[matched]);
       W.set nn.header 0 2;
-      persist_leaf ~site:s_split lf;
+      persist_leaf (Some s_split) lf;
       persist_node ~site:s_split nn;
       Pmem.Crash.point ~site:s_split ();
       (* Step 1: atomic install. *)

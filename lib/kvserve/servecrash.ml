@@ -6,9 +6,11 @@
    1. preload [load] keys *through the server* (submit blocks until the
       epoch fence, so every reply is an acknowledgement);
    2. arm a seed-deterministic fault plan and run closed-loop client
-      traffic; some shard worker crashes mid-batch, the server declares
-      itself dead, in-flight and queued requests fail with [Shutdown]
-      (never acknowledged).  The [plan] selector aims the crash:
+      traffic of [ops_per_request]-op requests (default 4); some shard
+      worker crashes mid-batch — or, for a request of at most [batch] ops
+      run as a direct write, the client domain applying it crashes — the
+      server declares itself dead, in-flight and queued requests fail with
+      [Shutdown] (never acknowledged).  The [plan] selector aims the crash:
       [`Random] draws any plan kind ({!Faultinject.random_plan});
       [`Mid_epoch] crashes at a random persistent *store* — in epoch mode
       that is inside the fence-free apply window, with applied-but-unacked
@@ -68,12 +70,12 @@ let preload srv load =
   done;
   (completed, !acked)
 
-let traffic_cfg ?(txn_pct = 0) ?(txn_ops = 6) ~workers ~ops ~load ~key_base
-    ~seed () =
+let traffic_cfg ?(txn_pct = 0) ?(txn_ops = 6) ?(ops_per_request = 4) ~workers
+    ~ops ~load ~key_base ~seed () =
   {
     Loadgen.workers;
     requests = max 1 (ops / workers / 4);
-    ops_per_request = 4;
+    ops_per_request;
     write_pct = 50;
     scan_pct = 0;
     scan_len = 16;
@@ -113,8 +115,9 @@ let stats_violations srv ~shards ~key ~floor =
       !bad
   | _ -> 1
 
-let campaign ~make ~(cfg : Server.config) ?(plan = `Random) ~states ~load ~ops
-    ~workers ~seed () : Crashtest.load_report =
+let campaign ~make ~(cfg : Server.config) ?(plan = `Random) ?ops_per_request
+    ~states ~load ~ops ~workers ~seed () : Crashtest.load_report =
+  let traffic_cfg = traffic_cfg ?ops_per_request in
   let rng = Util.Rng.create seed in
   let mk_parts () = Array.init cfg.shards make in
   (* Preview: measure the traffic phase's substrate event counts so plans

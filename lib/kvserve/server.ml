@@ -22,14 +22,18 @@
    In every mode an acknowledged write is durable; an unacknowledged write
    may be lost wholesale by a crash, which is the group-commit contract.
 
-   Partition exclusivity is the concurrency keystone: a partition is only
-   ever written by its shard worker, so index operations never contend
-   across workers, and a worker that crashes mid-operation (fault
-   injection) cannot leave a lock that another worker spins on.  The one
-   exception is read-only: a request made only of [Get]s on partitions
-   whose lookup takes no lock is answered on the submitting domain,
-   checked by each shard's persistence sequence (see [direct_read] and
-   DESIGN.md §12).
+   Partition exclusivity is the concurrency keystone: a partition has one
+   writer at a time, whoever holds its shard, so index operations never
+   contend across domains, and a domain that crashes mid-operation (fault
+   injection) cannot leave a lock that another writer spins on.  The shard
+   worker holds its shard whenever it is not idle.  A submitter may *claim*
+   an idle shard (worker waiting with nothing parked, ring empty) and run a
+   small request of point operations itself, with its own epoch advance —
+   a direct write, without the two cross-domain wake-ups of the queue (see
+   [direct_write]).  Reads need no claim: a request made only of [Get]s on
+   partitions whose lookup takes no lock is answered on the submitting
+   domain, checked by each shard's persistence sequence (see
+   [direct_read]).  DESIGN.md §12 gives both arguments.
 
    Backpressure is explicit: a request whose operations do not all fit in
    their target shards' queues is rejected with [Overloaded] having
@@ -125,7 +129,9 @@ type coord = {
   cslot : int;
   total : int;  (* participating shards *)
   mutable prepared : int;
-  mutable decision : int;  (* 0 pending | 1 commit | 2 abort *)
+  mutable decision : int;
+      (* 0 pending | 1 commit | 2 abort | 3 in doubt: a crash hit the
+         decision's own persist, so it may or may not be durable *)
 }
 
 (* Completion cell shared by the submitter and every worker holding one of
@@ -169,18 +175,23 @@ type shard = {
   mutable len : int;
   mutable stopping : bool;  (* drain remaining work, then exit *)
   mutable dead : bool;  (* crashed: fail remaining work, reject new *)
+  mutable idle : bool;  (* the worker waits on [nonempty], nothing parked *)
+  mutable claimed : bool;  (* a submitter holds the shard (direct write) *)
+  freed : Condition.t;  (* a claim was released, or the shard shut down *)
   seq : int Atomic.t;
-      (* Persistence sequence: odd from just before the worker applies a
-         write until the fence that makes it durable, even otherwise, and
-         -1 (odd for good) once the shard is stopping or dead.  Only the
-         worker advances it, by compare-and-set, so it never overwrites
-         the -1 that [stop]/[kill] store. *)
+      (* Persistence sequence: odd from just before a write is applied to
+         the partition until the fence that makes it durable, even
+         otherwise, and -1 (odd for good) once the shard is stopping or
+         dead.  Only the shard's holder (its worker, or the submitter that
+         claimed it) advances it, by compare-and-set, so it never
+         overwrites the -1 that [stop]/[kill] store. *)
   m_depth : Obs.Hist.t;  (* queue depth sampled at enqueue *)
   m_batch : Obs.Hist.t;  (* operations per executed batch *)
   m_eops : Obs.Hist.t;  (* operations released per epoch advance *)
   (* Worker-only writes, unlocked metric-grade reads (stats endpoint). *)
   mutable pending_acks : int;  (* applied-but-unacked ops parked right now *)
-  mutable last_epoch : int;  (* highest persisted epoch on this shard *)
+  mutable last_epoch : int;  (* highest epoch the worker persisted (a direct
+                                 write advances its caller's epoch) *)
   (* Per-phase latency (ns), observed at ack time from each op's span; all
      five stay empty while spans are disabled. *)
   m_queue : Obs.Hist.t;
@@ -204,6 +215,9 @@ type t = {
   c_txn_aborted : Obs.Counter.t;  (* aborted transactions *)
   c_direct_gets : Obs.Counter.t;  (* Gets answered on the submitting domain *)
   c_direct_fallbacks : Obs.Counter.t;  (* direct Gets sent to the queue *)
+  c_direct_writes : Obs.Counter.t;  (* ops applied under a submitter's claim *)
+  c_direct_write_fallbacks : Obs.Counter.t;  (* claim refused: queued *)
+  c_direct_crashes : Obs.Counter.t;  (* direct writes a crash interrupted *)
   direct : bool;  (* every partition's lookup is lock-free *)
   m_ack : Obs.Hist.t;  (* submit-to-ack latency, successful requests *)
   coords_mu : Mutex.t;
@@ -294,13 +308,13 @@ let pop sh =
    test must catch it. *)
 let mutate_skip_odd_mark = ref false
 
-(* Worker only, before a write touches the partition. *)
+(* Shard holder only, before a write touches the partition. *)
 let seq_dirty sh =
   let v = Atomic.get sh.seq in
   if v land 1 = 0 && not !mutate_skip_odd_mark then
     ignore (Atomic.compare_and_set sh.seq v (v + 1))
 
-(* Worker only, once every applied write is fenced; before any contribute,
+(* Shard holder only, once every applied write is fenced; before any ack,
    so a client that got an ack and then reads sees its own write. *)
 let seq_clean sh =
   let v = Atomic.get sh.seq in
@@ -321,7 +335,7 @@ let abort_coord co =
 (* Crash path: declare the whole server dead (a process crash takes every
    shard down), abort every pending cross-shard transaction so no worker
    waits on a peer that will never prepare, and wake all workers so they
-   fail-drain their queues. *)
+   fail-drain their queues, and every submitter waiting for a claim. *)
 let kill t =
   Atomic.set t.crashed true;
   Array.iter seq_close t.shards_;
@@ -334,8 +348,13 @@ let kill t =
       Mutex.lock sh.smu;
       sh.dead <- true;
       Condition.broadcast sh.nonempty;
+      Condition.broadcast sh.freed;
       Mutex.unlock sh.smu)
     t.shards_
+
+(* A 2PC peer saw its decision left in doubt by a crash: it leaves its
+   record [Prepared] for recovery and takes the crash path itself. *)
+exception Decision_in_doubt
 
 let worker t sh =
   (* Commit deferral is domain-local: each epoch-mode worker opts in for
@@ -503,25 +522,34 @@ let worker t sh =
             Recipe.Txn.flip_commit wal;
             commit_done ()
         | Some co ->
-            Mutex.lock co.cmu;
-            co.prepared <- co.prepared + 1;
-            if co.prepared = co.total && co.decision = 0 then begin
-              (* Last to prepare: persist the commit decision, then wake
-                 the peers.  Every participant's data is durable, so the
-                 transaction survives any crash from here on. *)
-              Recipe.Txn.Decision.commit ~slot:co.cslot;
-              co.decision <- 1;
-              Condition.broadcast co.ccond
-            end;
-            while co.decision = 0 do
-              Condition.wait co.ccond co.cmu
-            done;
-            let d = co.decision in
-            Mutex.unlock co.cmu;
+            let d =
+              Mutex.protect co.cmu (fun () ->
+                  co.prepared <- co.prepared + 1;
+                  if co.prepared = co.total && co.decision = 0 then begin
+                    (* Last to prepare: persist the commit decision, then
+                       wake the peers.  Every participant's data is
+                       durable, so the transaction survives any crash from
+                       here on.  A crash inside the persist leaves the
+                       decision in doubt: no peer may flip or roll back,
+                       recovery settles every record from the table. *)
+                    (match Recipe.Txn.Decision.commit ~slot:co.cslot with
+                    | () -> co.decision <- 1
+                    | exception e ->
+                        co.decision <- 3;
+                        Condition.broadcast co.ccond;
+                        raise e);
+                    Condition.broadcast co.ccond
+                  end;
+                  while co.decision = 0 do
+                    Condition.wait co.ccond co.cmu
+                  done;
+                  co.decision)
+            in
             if d = 1 then begin
               Recipe.Txn.flip_commit wal;
               commit_done ()
             end
+            else if d = 3 then raise Decision_in_doubt
             else begin
               (* A peer failed (or the server crashed before the decision):
                  durable rollback — restore the undo images from the WAL
@@ -533,7 +561,13 @@ let worker t sh =
   let running = ref true in
   while !running do
     Mutex.lock sh.smu;
-    while sh.len = 0 && not sh.stopping && not sh.dead do
+    (* A claimed shard belongs to its submitter: never pop under a claim
+       (the release wakes this worker if the ring filled meanwhile), but do
+       fail-drain once the server is dead — that touches no partition. *)
+    while
+      (sh.claimed && not sh.dead)
+      || (sh.len = 0 && not sh.stopping && not sh.dead)
+    do
       if !parked_n > 0 then begin
         (* Advance-before-wait: an empty queue with parked acks closes the
            epoch immediately (the controller's empty-queue rule) — never
@@ -542,7 +576,12 @@ let worker t sh =
         release_parked ();
         Mutex.lock sh.smu
       end
-      else Condition.wait sh.nonempty sh.smu
+      else begin
+        (* Nothing parked and waiting: the shard may be claimed. *)
+        sh.idle <- true;
+        Condition.wait sh.nonempty sh.smu;
+        sh.idle <- false
+      end
     done;
     if sh.dead then begin
       (* Fail-drain: every queued op gets an aborted completion so no
@@ -612,7 +651,8 @@ let worker t sh =
                 (* Injected crash mid-transaction: the WAL's persisted
                    state decides at recovery; nothing was acknowledged. *)
                 (match e with
-                | Pmem.Crash.Simulated_crash | Pmem.Hook.Alloc_failed _ ->
+                | Pmem.Crash.Simulated_crash | Pmem.Hook.Alloc_failed _
+                | Decision_in_doubt ->
                     ()
                 | e ->
                     Printf.eprintf "kvserve worker %d (txn): %s\n%!" sh.sid
@@ -727,6 +767,9 @@ let start cfg parts =
           len = 0;
           stopping = false;
           dead = false;
+          idle = false;
+          claimed = false;
+          freed = Condition.create ();
           seq = Atomic.make 0;
           m_depth = Obs.Hist.v (Printf.sprintf "serve.queue_depth.%d" sid);
           m_batch = Obs.Hist.v (Printf.sprintf "serve.batch_ops.%d" sid);
@@ -755,6 +798,9 @@ let start cfg parts =
       c_txn_aborted = Obs.Counter.v "serve.txn_aborted";
       c_direct_gets = Obs.Counter.v "serve.direct_gets";
       c_direct_fallbacks = Obs.Counter.v "serve.direct_fallbacks";
+      c_direct_writes = Obs.Counter.v "serve.direct_writes";
+      c_direct_write_fallbacks = Obs.Counter.v "serve.direct_write_fallbacks";
+      c_direct_crashes = Obs.Counter.v "serve.direct_write_crashes";
       direct = Array.for_all (fun p -> p.p_lockfree_lookup) parts;
       m_ack = Obs.Hist.v "serve.ack_ns";
       coords_mu = Mutex.create ();
@@ -767,9 +813,10 @@ let start cfg parts =
   t
 
 (* Stop serving: drain queued work (unless crashed, in which case workers
-   fail-drain), join every worker.  Commit deferral needs no teardown — it
-   is domain-local to the workers and dies with them.  After [stop] no batch
-   is mid-flight, so a campaign may power-fail / recover the partitions. *)
+   fail-drain), wait out every claim, join every worker.  Commit deferral
+   needs no teardown — it is domain-local and switched off again before a
+   claim is released.  After [stop] no batch and no direct write is
+   mid-flight, so a campaign may power-fail / recover the partitions. *)
 let stop t =
   Array.iter
     (fun sh ->
@@ -777,6 +824,15 @@ let stop t =
       sh.stopping <- true;
       seq_close sh;
       Condition.broadcast sh.nonempty;
+      Condition.broadcast sh.freed;
+      Mutex.unlock sh.smu)
+    t.shards_;
+  Array.iter
+    (fun sh ->
+      Mutex.lock sh.smu;
+      while sh.claimed do
+        Condition.wait sh.freed sh.smu
+      done;
       Mutex.unlock sh.smu)
     t.shards_;
   List.iter Domain.join t.workers;
@@ -829,6 +885,9 @@ let stats_snapshot t =
   add "txn_aborted" (Obs.Counter.value t.c_txn_aborted);
   add "direct_gets" (Obs.Counter.value t.c_direct_gets);
   add "direct_fallbacks" (Obs.Counter.value t.c_direct_fallbacks);
+  add "direct_writes" (Obs.Counter.value t.c_direct_writes);
+  add "direct_write_fallbacks" (Obs.Counter.value t.c_direct_write_fallbacks);
+  add "direct_write_crashes" (Obs.Counter.value t.c_direct_crashes);
   let s = Pmem.Stats.snapshot () in
   add "pmem.clwb" s.Pmem.Stats.s_clwb;
   add "pmem.sfence" s.Pmem.Stats.s_sfence;
@@ -1079,12 +1138,6 @@ let observe_span t sp =
 
 (* --- direct reads -------------------------------------------------------- *)
 
-(* The keys of a request made only of [Get]s, in order. *)
-let rec get_keys acc = function
-  | [] -> Some (List.rev acc)
-  | Wire.Get k :: rest -> get_keys (k :: acc) rest
-  | _ -> None
-
 (* Answer a request of only [Get]s on the calling domain, or [None] to send
    it down the queued path.  Read every target shard's sequence (v1), run
    the lookups, re-read the sequences (v2).  If every v1 was even and every
@@ -1155,6 +1208,159 @@ let direct_read t rid keys =
       end;
       Some (ok_response rid rs)
 
+(* --- direct writes -------------------------------------------------------- *)
+
+(* Claim [sh] for the caller, or [false] when its worker is busy, its ring
+   holds work, or it is stopping or dead — the caller then takes the queue
+   and never waits behind a worker.  A shard claimed by another submitter
+   is waited for on [freed], not [nonempty], so the idle worker sleeps on.
+   Callers claim in ascending shard id, so claim waits cannot cycle. *)
+let try_claim sh =
+  Mutex.lock sh.smu;
+  while sh.claimed && not (sh.stopping || sh.dead) do
+    Condition.wait sh.freed sh.smu
+  done;
+  let ok = sh.idle && sh.len = 0 && not (sh.claimed || sh.stopping || sh.dead) in
+  if ok then sh.claimed <- true;
+  Mutex.unlock sh.smu;
+  ok
+
+(* Give [sh] back.  The worker is woken only when it has something to do:
+   work queued meanwhile, or the shard shutting down. *)
+let release_claim sh =
+  Mutex.lock sh.smu;
+  sh.claimed <- false;
+  Condition.broadcast sh.freed;
+  if sh.len > 0 || sh.stopping || sh.dead then Condition.signal sh.nonempty;
+  Mutex.unlock sh.smu
+
+(* One per domain, held from before the first claim until after the
+   deferral table is switched off again.  [Recipe.Persist]'s deferral table
+   is domain-local, and the systhreads of one domain (kv_server's
+   connection handlers) share it: unserialized, one thread's advance or
+   [set_group false] could empty another's table before its lines were
+   flushed, and that thread would ack unflushed writes. *)
+let domain_window = Domain.DLS.new_key Mutex.create
+
+(* Apply a request of at most [batch] point operations on the calling
+   domain, or [None] to send it down the queued path.  Claim every target
+   shard in ascending id, mark the written shards' sequences odd, apply
+   with commit deferral on (off in per-op mode, where every commit fences
+   inline), run one {!Recipe.Persist.epoch_advance} — each deferred line
+   flushed once, one fence — mark the sequences even, release the claims
+   and reply: the worker's park/advance/release cycle, run by the caller.
+   An injected crash does what the worker's crash path does: drop the
+   deferred lines, kill the server, release the claims and answer
+   [Shutdown], having acked nothing.  A key its partition cannot hold
+   raises [Reject Bad_request] before anything is claimed. *)
+let direct_write t (req : Wire.request) =
+  let t0 = Monotonic_clock.now () in
+  let ops = Array.of_list req.ops in
+  let n = Array.length ops in
+  let sids =
+    Array.map
+      (function
+        | Wire.Get k | Wire.Put (k, _) | Wire.Delete k -> shard_for t k
+        | Wire.Scan _ | Wire.Stats | Wire.Txn _ -> assert false)
+      ops
+  in
+  let nsh = t.cfg.shards in
+  let per = Array.make nsh 0 and writes = Array.make nsh 0 in
+  Array.iteri
+    (fun i sid ->
+      per.(sid) <- per.(sid) + 1;
+      match ops.(i) with
+      | Wire.Put _ | Wire.Delete _ -> writes.(sid) <- writes.(sid) + 1
+      | _ -> ())
+    sids;
+  (* Claim upward; a refusal unwinds, releasing what was claimed below. *)
+  let rec claim_from sid =
+    sid = nsh
+    || per.(sid) = 0 && claim_from (sid + 1)
+    || per.(sid) > 0
+       && try_claim t.shards_.(sid)
+       && (claim_from (sid + 1)
+          || (release_claim t.shards_.(sid);
+              false))
+  in
+  let release_all () =
+    for sid = 0 to nsh - 1 do
+      if per.(sid) > 0 then release_claim t.shards_.(sid)
+    done
+  in
+  let dmu = Domain.DLS.get domain_window in
+  Mutex.lock dmu;
+  if not (claim_from 0) then begin
+    Mutex.unlock dmu;
+    Obs.Counter.add t.c_direct_write_fallbacks n;
+    None
+  end
+  else begin
+    let defer = match t.cfg.mode with Epoch _ -> true | Per_op -> false in
+    match
+      if defer then Recipe.Persist.set_group true;
+      for sid = 0 to nsh - 1 do
+        if writes.(sid) > 0 then seq_dirty t.shards_.(sid)
+      done;
+      let replies =
+        Array.mapi (fun i op -> apply t.shards_.(sids.(i)).part op) ops
+      in
+      let t_applied = if Obs.Span.enabled () then Obs.Span.now () else 0 in
+      let _, lines = Recipe.Persist.epoch_advance () in
+      if defer then Recipe.Persist.set_group false;
+      (replies, t_applied, lines)
+    with
+    | replies, t_applied, lines ->
+        (* Each claimed shard ran one batch and released it in one epoch. *)
+        for sid = 0 to nsh - 1 do
+          let sh = t.shards_.(sid) in
+          if writes.(sid) > 0 then seq_clean sh;
+          if per.(sid) > 0 then begin
+            Obs.Hist.observe sh.m_batch per.(sid);
+            Obs.Hist.observe sh.m_eops per.(sid);
+            Obs.Counter.incr t.c_batches
+          end
+        done;
+        (* Count before replying — the stats no-undercount promise. *)
+        Obs.Counter.add t.c_group_lines lines;
+        Obs.Counter.incr t.c_epochs;
+        Obs.Counter.add t.c_direct_writes n;
+        Obs.Counter.add t.c_ops n;
+        release_all ();
+        Mutex.unlock dmu;
+        Obs.Hist.observe t.m_ack
+          (Int64.to_int (Int64.sub (Monotonic_clock.now ()) t0));
+        (* One span per op: no queue and no epoch wait; its apply is the
+           request's apply and its fence the advance. *)
+        if Obs.Span.enabled () then begin
+          let ts0 = Int64.to_int t0 and t_fenced = Obs.Span.now () in
+          Array.iter
+            (fun sid ->
+              let sp = Obs.Span.start ~sid in
+              sp.Obs.Span.t_submit <- ts0;
+              sp.Obs.Span.t_enqueue <- ts0;
+              sp.Obs.Span.t_dequeue <- ts0;
+              sp.Obs.Span.t_applied <- t_applied;
+              sp.Obs.Span.t_epoch <- t_applied;
+              sp.Obs.Span.t_fenced <- t_fenced;
+              observe_span t sp)
+            sids
+        end;
+        Some (ok_response req.rid (Array.to_list replies))
+    | exception e ->
+        (match e with
+        | Pmem.Crash.Simulated_crash | Pmem.Hook.Alloc_failed _ -> ()
+        | e ->
+            Printf.eprintf "kvserve direct write: %s\n%!" (Printexc.to_string e));
+        Recipe.Persist.group_reset ();
+        if defer then Recipe.Persist.set_group false;
+        Obs.Counter.incr t.c_direct_crashes;
+        kill t;
+        release_all ();
+        Mutex.unlock dmu;
+        Some (status_response req.rid Wire.Shutdown)
+  end
+
 (* The queued path: route, enqueue, block until every op completes. *)
 let submit_queued t (req : Wire.request) =
   match route t req with
@@ -1221,18 +1427,31 @@ let submit_queued t (req : Wire.request) =
             end
       end)
 
+(* [`Gets n] for a request of [n] [Get]s, [`Point n] for one of [n]
+   [Get]/[Put]/[Delete]s with at least one write, [`Other] otherwise. *)
+let rec classify n gets = function
+  | [] -> if gets then `Gets n else `Point n
+  | Wire.Get _ :: rest -> classify (n + 1) gets rest
+  | (Wire.Put _ | Wire.Delete _) :: rest -> classify (n + 1) false rest
+  | (Wire.Scan _ | Wire.Stats | Wire.Txn _) :: _ -> `Other
+
 (* Submit a request and block until every op completes (the in-process
    transport; connection handlers call this per decoded frame).  Returns
    [Overloaded]/[Shutdown] without applying anything when rejected.  A
-   request of only [Get]s first tries {!direct_read}. *)
+   request of only [Get]s first tries {!direct_read}; any other request of
+   at most [batch] point operations first tries {!direct_write}. *)
 let submit t (req : Wire.request) =
-  match if t.direct then get_keys [] req.ops else None with
-  | Some (_ :: _ as keys) -> (
-      match direct_read t req.rid keys with
-      | Some resp -> resp
-      | None -> submit_queued t req
-      | exception Reject status -> status_response req.rid status)
-  | Some [] | None -> submit_queued t req
+  match
+    match classify 0 true req.ops with
+    | `Gets n when n > 0 && t.direct ->
+        let key = function Wire.Get k -> k | _ -> assert false in
+        direct_read t req.rid (List.map key req.ops)
+    | (`Gets n | `Point n) when n > 0 && n <= t.cfg.batch -> direct_write t req
+    | `Gets _ | `Point _ | `Other -> None
+  with
+  | Some resp -> resp
+  | None -> submit_queued t req
+  | exception Reject status -> status_response req.rid status
 
 (* --- framed connection (codec-exercising transport) ----------------------- *)
 
@@ -1244,66 +1463,64 @@ let submit t (req : Wire.request) =
 module Conn = struct
   type conn = {
     srv : t;
-    inbuf : Buffer.t;
-    mutable consumed : int;
+    mutable pend : Bytes.t;  (* an incomplete frame's bytes: [pend.[0 .. plen)] *)
+    mutable plen : int;
     mutable broken : bool;
   }
 
-  let create srv = { srv; inbuf = Buffer.create 256; consumed = 0; broken = false }
+  let create srv = { srv; pend = Bytes.create 256; plen = 0; broken = false }
 
   let broken c = c.broken
 
-  (* Compact once this much consumed prefix has accumulated; keeps the
-     dead-prefix copy cost amortized O(1) per byte. *)
-  let compact_at = 4096
+  (* Answer every whole frame in [s.[pos .. limit)], in place, appending
+     the responses to [out]; returns where the first incomplete frame
+     starts ([limit] once a malformed frame poisoned the connection).  The
+     decoder answers an incomplete frame from its length prefix alone, so a
+     connection trickling a large frame costs O(chunk) per feed, not
+     O(buffered). *)
+  let rec serve c out s pos limit =
+    match Wire.decode_request ~limit s pos with
+    | `Ok (req, pos') ->
+        Wire.encode_response out (submit c.srv req);
+        serve c out s pos' limit
+    | `Need_more -> pos
+    | `Malformed _ ->
+        Wire.encode_response out (status_response 0 Wire.Bad_request);
+        c.broken <- true;
+        limit
 
-  (* Whether at least one whole frame is buffered (or the length prefix is
-     already illegal, which the decoder must turn into [Bad_request]).
-     O(1) [Buffer.nth] peeks — no materialization, so a connection
-     trickling a large frame costs O(chunk) per feed, not O(buffered). *)
-  let frame_ready c =
-    let avail = Buffer.length c.inbuf - c.consumed in
-    if avail < 4 then false
-    else begin
-      let byte i = Char.code (Buffer.nth c.inbuf (c.consumed + i)) in
-      let len =
-        (byte 0 lsl 24) lor (byte 1 lsl 16) lor (byte 2 lsl 8) lor byte 3
-      in
-      len > Wire.max_frame || avail >= 4 + len
-    end
+  let append c src off n =
+    if c.plen + n > Bytes.length c.pend then begin
+      let b = Bytes.create (max (c.plen + n) (2 * Bytes.length c.pend)) in
+      Bytes.blit c.pend 0 b 0 c.plen;
+      c.pend <- b
+    end;
+    Bytes.blit src off c.pend c.plen n;
+    c.plen <- c.plen + n
 
-  let feed c bytes =
+  (** Feed [buf.[0 .. len)] (e.g. a socket read buffer, reused by the
+      caller afterwards) and return the encoded responses of every frame
+      it completes.  With nothing pending — the common case — frames are
+      decoded straight from [buf]; only an incomplete tail is copied. *)
+  let feed_bytes c buf len =
     if c.broken then ""
     else begin
-      Buffer.add_string c.inbuf bytes;
-      if not (frame_ready c) then ""
-      else begin
-        let data = Buffer.contents c.inbuf in
-        let out = Buffer.create 64 in
-        let rec step pos =
-          match Wire.decode_request data pos with
-          | `Ok (req, pos') ->
-              Wire.encode_response out (submit c.srv req);
-              step pos'
-          | `Need_more -> pos
-          | `Malformed _ ->
-              Wire.encode_response out (status_response 0 Wire.Bad_request);
-              c.broken <- true;
-              String.length data
-        in
-        let pos = step c.consumed in
-        c.consumed <- pos;
-        let remaining = String.length data - c.consumed in
-        if remaining = 0 then begin
-          Buffer.clear c.inbuf;
-          c.consumed <- 0
-        end
-        else if c.consumed >= compact_at then begin
-          Buffer.clear c.inbuf;
-          Buffer.add_substring c.inbuf data c.consumed remaining;
-          c.consumed <- 0
-        end;
-        Buffer.contents out
+      let out = Buffer.create 64 in
+      if c.plen = 0 then begin
+        let pos = serve c out (Bytes.unsafe_to_string buf) 0 len in
+        if pos < len then append c buf pos (len - pos)
       end
+      else begin
+        append c buf 0 len;
+        let pos = serve c out (Bytes.unsafe_to_string c.pend) 0 c.plen in
+        if pos > 0 then begin
+          Bytes.blit c.pend pos c.pend 0 (c.plen - pos);
+          c.plen <- c.plen - pos
+        end
+      end;
+      if c.broken then c.plen <- 0;
+      Buffer.contents out
     end
+
+  let feed c s = feed_bytes c (Bytes.unsafe_of_string s) (String.length s)
 end

@@ -7,8 +7,8 @@
    write latencies are in the 100ns+ range; see Izraelevitz et al. 2019).
 
    Disabled (zero cost) by default; enable only in single-purpose
-   experiments — the busy-wait burns CPU, which on this one-core container
-   also slows every other domain. *)
+   experiments — the busy-wait burns CPU, which on a host with fewer cores
+   than domains (the 2-core VM) also slows every domain sharing a core. *)
 
 let flush_ns = ref 0
 let fence_ns = ref 0

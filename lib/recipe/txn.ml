@@ -181,19 +181,20 @@ module Decision = struct
       [None] when all slots are in flight — the router backpressures. *)
   let claim ~tid =
     let w = words () in
-    Mutex.lock mu;
     let slot = ref None in
-    (try
-       for s = 0 to n_slots - 1 do
-         if Pmem.Words.get w (2 * s) = 0 then begin
-           Pmem.Words.set w (2 * s) tid;
-           Pmem.Words.set w ((2 * s) + 1) 0;
-           slot := Some s;
-           raise Exit
-         end
-       done
-     with Exit -> ());
-    Mutex.unlock mu;
+    (* [protect]: an injected crash at one of these stores must not leave
+       [mu] held for every later claim. *)
+    Mutex.protect mu (fun () ->
+        try
+          for s = 0 to n_slots - 1 do
+            if Pmem.Words.get w (2 * s) = 0 then begin
+              Pmem.Words.set w (2 * s) tid;
+              Pmem.Words.set w ((2 * s) + 1) 0;
+              slot := Some s;
+              raise Exit
+            end
+          done
+        with Exit -> ());
     (match !slot with
     | Some s ->
         Pmem.Words.clwb ~site:s_decision w (2 * s);

@@ -454,6 +454,9 @@ let string_lit (e : expression) =
 type r4_env = {
   mutable str_env : (string * string) list;  (* top-level string constants *)
   mutable creators : (string * string option) list;  (* partial Site.v apps *)
+  mutable wrapped : string list;
+      (* [let o = Some s] of a registered site [s]: the same site, pre-wrapped
+         so an optional [?site] argument allocates no [Some] per call *)
   mutable defs : site_def list;
   uses : (string, int) Hashtbl.t;
 }
@@ -510,7 +513,13 @@ let r4_analyze ctx structure =
   if not ctx.scope.r4 then []
   else begin
     let env =
-      { str_env = []; creators = []; defs = []; uses = Hashtbl.create 64 }
+      {
+        str_env = [];
+        creators = [];
+        wrapped = [];
+        defs = [];
+        uses = Hashtbl.create 64;
+      }
     in
     (* Pass 1: top-level environment, in order. *)
     List.iter
@@ -541,7 +550,20 @@ let r4_analyze ctx structure =
                         | Some (index, None) ->
                             (* Partial application: a per-index creator. *)
                             env.creators <- (x, index) :: env.creators
-                        | None -> ()))
+                        | None -> (
+                            match vb.pvb_expr.pexp_desc with
+                            | Pexp_construct
+                                ( { txt = Longident.Lident "Some"; _ },
+                                  Some
+                                    {
+                                      pexp_desc =
+                                        Pexp_ident { txt = Longident.Lident s; _ };
+                                      _;
+                                    } )
+                              when List.exists (fun d -> d.sd_name = s) env.defs
+                              ->
+                                env.wrapped <- x :: env.wrapped
+                            | _ -> ())))
                 | _ -> ())
               vbs
         | _ -> ())
@@ -549,6 +571,7 @@ let r4_analyze ctx structure =
     let site_names =
       List.map (fun d -> d.sd_name) env.defs
       @ List.map fst env.creators
+      @ env.wrapped
     in
     let toplevel_names =
       List.concat_map

@@ -87,23 +87,28 @@ let try_lock t =
   end
 
 (* Bounded spinning, then yield the OS thread: on machines with fewer cores
-   than domains (this container has one), a preempted lock holder would
-   otherwise stall every spinner for a whole scheduling quantum. *)
-let lock t =
-  let rec go spins pause =
-    if not (try_lock t) then begin
-      abort_point ();
-      if spins > 0 then begin
-        Domain.cpu_relax ();
-        go (spins - 1) pause
-      end
-      else begin
-        Unix.sleepf pause;
-        go 0 (Float.min (pause *. 2.0) 0.0001)
-      end
+   than domains, a preempted lock holder would otherwise stall every spinner
+   for a whole scheduling quantum.  An uncontended [lock] is one [try_lock]
+   and allocates nothing; the spin is a top-level recursion. *)
+let rec lock_wait t spins pause =
+  if not (try_lock t) then begin
+    abort_point ();
+    if spins > 0 then begin
+      Domain.cpu_relax ();
+      lock_wait t (spins - 1) pause
     end
-  in
-  go 200 0.000001
+    else begin
+      Unix.sleepf pause;
+      lock_wait t 0 (Float.min (pause *. 2.0) 0.0001)
+    end
+  end
+
+let lock t =
+  if not (try_lock t) then begin
+    abort_point ();
+    Domain.cpu_relax ();
+    lock_wait t 199 0.000001
+  end
 
 let unlock t =
   if !hooks_on then !on_released (id t);

@@ -406,6 +406,30 @@ let test_lookup_allocation () =
   if per_call > 2. then
     Alcotest.failf "Art.lookup allocates %.3f minor words per call (> 2)" per_call
 
+(* A fresh-key insert into a 100k-key tree allocates its leaf and what its
+   commit needs, not a closure, tuple or prefix string per level; with the
+   sanitizer off it stays under 40 minor words. *)
+let test_insert_allocation () =
+  if Pmem.Mode.sanitize_enabled () then Alcotest.skip ();
+  let rng = Util.Rng.create 42 in
+  let t = Art.create () in
+  let fill = 100_000 and n = 10_000 in
+  let inserted = ref 0 in
+  while !inserted < fill do
+    if Art.insert t (Util.Keys.encode_int (Util.Rng.key rng)) 0 then
+      incr inserted
+  done;
+  let keys = Array.init n (fun _ -> Util.Keys.encode_int (Util.Rng.key rng)) in
+  let before = Gc.minor_words () in
+  let fresh = ref 0 in
+  for i = 0 to n - 1 do
+    if Art.insert t (Array.unsafe_get keys i) i then incr fresh
+  done;
+  let per_call = (Gc.minor_words () -. before) /. float_of_int !fresh in
+  if per_call > 40. then
+    Alcotest.failf "Art.insert allocates %.1f minor words per fresh key (> 40)"
+      per_call
+
 let () =
   Alcotest.run "art"
     [
@@ -440,5 +464,6 @@ let () =
         [
           Alcotest.test_case "words per key" `Quick test_words_per_key;
           Alcotest.test_case "lookup allocation" `Quick test_lookup_allocation;
+          Alcotest.test_case "insert allocation" `Quick test_insert_allocation;
         ] );
     ]

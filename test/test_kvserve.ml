@@ -1218,9 +1218,16 @@ let servecrash_cfg =
   { Server.shards = 2; batch = 8; queue_cap = 64;
     mode = Server.Epoch { EC.default_cfg with max_ops = 1 } }
 
+(* Requests one op longer than [batch] never run as direct writes, so the
+   campaigns of this group keep crashing shard workers mid-batch, with acks
+   parked in open epochs; the direct-write group below drives requests of
+   at most [batch] ops. *)
+let queued_ops = servecrash_cfg.Server.batch + 1
+
 let run_campaign ?(mode = servecrash_cfg.Server.mode) make =
-  Servecrash.campaign ~make ~cfg:{ servecrash_cfg with mode } ~states:3
-    ~load:60 ~ops:160 ~workers:2 ~seed:11 ()
+  Servecrash.campaign ~make ~cfg:{ servecrash_cfg with mode }
+    ~ops_per_request:queued_ops ~states:3 ~load:60 ~ops:160 ~workers:2
+    ~seed:11 ()
 
 let check_campaign name r =
   let b = r.Crashtest.base in
@@ -1255,19 +1262,22 @@ let test_crash_drains_queue () =
           p_sweep = None;
         }
       in
+      (* Two-op requests exceed [batch], so both take the queue. *)
       let cfg =
         { Server.shards = 1; batch = 1; queue_cap = 8; mode = Server.Per_op }
       in
       let srv = Server.start cfg [| part |] in
       let crasher =
         Domain.spawn (fun () ->
-            Server.submit srv { Wire.rid = 1; ops = [ Wire.Put (boom, 1) ] })
+            Server.submit srv
+              { Wire.rid = 1; ops = [ Wire.Put (boom, 1); Wire.Put ("b2", 1) ] })
       in
       Unix.sleepf 0.01;
       (* Lands in the ring while the worker is mid-crash (or is rejected with
          [Shutdown] if the kill already landed) — either way it must resolve. *)
       let late =
-        Server.submit srv { Wire.rid = 2; ops = [ Wire.Put ("late", 1) ] }
+        Server.submit srv
+          { Wire.rid = 2; ops = [ Wire.Put ("late", 1); Wire.Put ("l2", 1) ] }
       in
       let boom_resp = Domain.join crasher in
       Alcotest.(check bool) "crashing op not acked" true
@@ -1315,8 +1325,9 @@ let epoch_crash_cfg =
   }
 
 let run_epoch_campaign ~plan make =
-  Servecrash.campaign ~make ~cfg:epoch_crash_cfg ~plan ~states:3 ~load:60
-    ~ops:160 ~workers:2 ~seed:13 ()
+  Servecrash.campaign ~make ~cfg:epoch_crash_cfg ~plan
+    ~ops_per_request:queued_ops ~states:3 ~load:60 ~ops:160 ~workers:2
+    ~seed:13 ()
 
 let check_epoch_campaign name r =
   let b = r.Crashtest.base in
@@ -1359,8 +1370,8 @@ let test_epoch_mutation_caught () =
           (fun () ->
             Servecrash.campaign
               ~make:(fun _ -> art_part ())
-              ~cfg:epoch_crash_cfg ~plan:`Mid_epoch ~states:2 ~load:60 ~ops:120
-              ~workers:2 ~seed:17 ())
+              ~cfg:epoch_crash_cfg ~plan:`Mid_epoch ~ops_per_request:queued_ops
+              ~states:2 ~load:60 ~ops:120 ~workers:2 ~seed:17 ())
       in
       Alcotest.(check bool) "dropped epoch fence detected as loss" true
         (r.Crashtest.base.Crashtest.lost_keys > 0))
@@ -1381,25 +1392,27 @@ let lingering_art ~linger () =
         r);
   }
 
-let direct_counts srv =
-  let f k =
-    match Server.stats_snapshot srv |> List.assoc_opt k with
-    | Some v -> v
-    | None -> Alcotest.fail ("snapshot lacks " ^ k)
-  in
-  (f "direct_gets", f "direct_fallbacks")
+let stat srv k =
+  match Server.stats_snapshot srv |> List.assoc_opt k with
+  | Some v -> v
+  | None -> Alcotest.fail ("snapshot lacks " ^ k)
+
+let direct_counts srv = (stat srv "direct_gets", stat srv "direct_fallbacks")
 
 (* Read durability under a crash.  A writer puts fresh keys while readers
    send Get-only requests for the keys it is putting right now; a fault
    crashes a worker mid-apply; after power failure and recovery, every key
    a reader saw [Found] must still be present with its value.  Returns
-   (violations, direct Gets served, crashes fired) over [states]. *)
-let read_durability_campaign ~states ~seed =
+   (violations, direct Gets served, crashes fired, direct writes) over
+   [states].  The writer's requests hold [per_request] puts: more than
+   [batch] (the default) sends them through a shard worker, at most [batch]
+   runs them as direct writes on the writer's domain. *)
+let read_durability_campaign ?(per_request = 9) ~states ~seed () =
   let cfg =
     { Server.shards = 2; batch = 8; queue_cap = 64;
       mode = Server.Epoch EC.default_cfg }
   in
-  let per_request = 8 and requests = 40 and readers = 2 in
+  let requests = 40 and readers = 2 in
   let run_traffic srv ~base =
     (* [hi]: the highest key whose put has been submitted. *)
     let hi = Atomic.make 0 and writing = Atomic.make true in
@@ -1462,17 +1475,20 @@ let read_durability_campaign ~states ~seed =
   in
   let rng = Util.Rng.create seed in
   let violations = ref 0 and direct = ref 0 and crashes = ref 0 in
+  let writes = ref 0 in
   for state = 1 to states do
     Servecrash.fresh_env ();
     let parts = mk_parts () in
     let srv = Server.start cfg parts in
     let d0, _ = direct_counts srv in
+    let w0 = stat srv "direct_writes" in
     let k = 1 + Util.Rng.below rng (max 1 stores) in
     Faultinject.arm (Faultinject.Crash_at_store { k });
     let seen = run_traffic srv ~base:(state * 100_000) in
     if Server.crashed srv then incr crashes;
     let d1, _ = direct_counts srv in
     direct := !direct + (d1 - d0);
+    writes := !writes + (stat srv "direct_writes" - w0);
     Server.stop srv;
     Faultinject.disarm ();
     Pmem.Crash.disarm ();
@@ -1485,12 +1501,12 @@ let read_durability_campaign ~states ~seed =
         if p.Server.p_lookup (ik k) <> Some v then incr violations)
       seen
   done;
-  (!violations, !direct, !crashes)
+  (!violations, !direct, !crashes, !writes)
 
 let test_direct_read_durability () =
   with_env (fun () ->
-      let violations, direct, crashes =
-        read_durability_campaign ~states:6 ~seed:31
+      let violations, direct, crashes, _ =
+        read_durability_campaign ~states:6 ~seed:31 ()
       in
       Alcotest.(check bool) "crashes fired" true (crashes > 0);
       Alcotest.(check bool) "reads were served directly" true (direct > 0);
@@ -1501,10 +1517,10 @@ let test_direct_read_durability () =
 let test_direct_read_mutation_caught () =
   with_env (fun () ->
       Server.mutate_skip_odd_mark := true;
-      let violations, _, _ =
+      let violations, _, _, _ =
         Fun.protect
           ~finally:(fun () -> Server.mutate_skip_odd_mark := false)
-          (fun () -> read_durability_campaign ~states:6 ~seed:37)
+          (fun () -> read_durability_campaign ~states:6 ~seed:37 ())
       in
       Alcotest.(check bool)
         (Printf.sprintf "skipped odd mark detected (%d violations)" violations)
@@ -1770,6 +1786,331 @@ let test_direct_read_after_stop_and_kill () =
       shutdown "after a worker crash" srv;
       Server.stop srv)
 
+(* --- direct writes --------------------------------------------------------- *)
+
+let counter name = Obs.Counter.value (Obs.Counter.v name)
+
+(* The serving crash campaign with requests of exactly [batch] ops, so they
+   run as direct writes on the client domains and faults fire there.
+   Returns the report, the crashes that fired inside a direct write, and
+   the ops applied directly. *)
+let direct_campaign ?(mode = Server.Epoch EC.default_cfg) ?(states = 3) ~plan
+    ~seed make =
+  let cfg = { Server.shards = 2; batch = 8; queue_cap = 64; mode } in
+  let c0 = counter "serve.direct_write_crashes"
+  and w0 = counter "serve.direct_writes" in
+  let r =
+    Servecrash.campaign ~make ~cfg ~plan ~ops_per_request:cfg.Server.batch
+      ~states ~load:60 ~ops:160 ~workers:2 ~seed ()
+  in
+  ( r,
+    counter "serve.direct_write_crashes" - c0,
+    counter "serve.direct_writes" - w0 )
+
+(* Zero lost acknowledged ops when the crash lands inside a direct write —
+   mid-apply, at the caller's epoch advance, or anywhere — over ordered and
+   hash partitions and in per-op mode; and some crashes did land there. *)
+let test_direct_write_crash_campaign () =
+  with_env (fun () ->
+      let runs =
+        [
+          ("art mid-epoch", Server.Epoch EC.default_cfg, `Mid_epoch, 41, art_part);
+          ("art boundary", Server.Epoch EC.default_cfg, `Boundary, 43, art_part);
+          ("clht random", Server.Epoch EC.default_cfg, `Random, 47, clht_part);
+          ("art per-op", Server.Per_op, `Random, 53, art_part);
+        ]
+      in
+      let crashes, writes =
+        List.fold_left
+          (fun (c, w) (name, mode, plan, seed, make) ->
+            let r, dc, dw =
+              direct_campaign ~mode ~plan ~seed (fun _ -> make ())
+            in
+            check_campaign name r;
+            (c + dc, w + dw))
+          (0, 0) runs
+      in
+      Alcotest.(check bool) "ops applied by direct writes" true (writes > 0);
+      Alcotest.(check bool)
+        (Printf.sprintf "crashes fired inside direct writes (%d)" crashes)
+        true (crashes > 0))
+
+(* Direct reads beside direct writes: the writer's requests run on its own
+   domain under shard claims, and every read that saw [Found] survives. *)
+let test_direct_write_read_durability () =
+  with_env (fun () ->
+      let violations, _, crashes, writes =
+        read_durability_campaign ~per_request:8 ~states:6 ~seed:59 ()
+      in
+      Alcotest.(check bool) "crashes fired" true (crashes > 0);
+      Alcotest.(check bool) "writes applied directly" true (writes > 0);
+      Alcotest.(check int) "reads that did not survive the crash" 0 violations)
+
+(* Mutation adequacy with direct writes in play: deleting the epoch flush,
+   or the odd mark of the persistence sequence, must still be caught. *)
+let test_direct_write_mutations_caught () =
+  with_env (fun () ->
+      Recipe.Persist.mutate_drop_epoch_flush := true;
+      let r, _, writes =
+        Fun.protect
+          ~finally:(fun () -> Recipe.Persist.mutate_drop_epoch_flush := false)
+          (fun () ->
+            direct_campaign ~states:2 ~plan:`Mid_epoch ~seed:17 (fun _ ->
+                art_part ()))
+      in
+      Alcotest.(check bool) "dropped flush: writes applied directly" true
+        (writes > 0);
+      Alcotest.(check bool) "dropped epoch flush detected as loss" true
+        (r.Crashtest.base.Crashtest.lost_keys > 0);
+      Server.mutate_skip_odd_mark := true;
+      let violations, _, _, writes =
+        Fun.protect
+          ~finally:(fun () -> Server.mutate_skip_odd_mark := false)
+          (fun () ->
+            read_durability_campaign ~per_request:8 ~states:6 ~seed:37 ())
+      in
+      Alcotest.(check bool) "skipped mark: writes applied directly" true
+        (writes > 0);
+      Alcotest.(check bool)
+        (Printf.sprintf "skipped odd mark detected (%d violations)" violations)
+        true (violations > 0))
+
+(* Keys [1..] that hash to shard [sid] of a 2-shard server. *)
+let shard_keys cfg sid n =
+  let rec go k acc m =
+    if m = n then List.rev acc
+    else if Server.shard_of_key cfg (ik k) = sid then go (k + 1) (k :: acc) (m + 1)
+    else go (k + 1) acc m
+  in
+  go 1 [] 0
+
+(* Two systhreads of one domain — kv_server's connection handlers — write
+   through their own [Server.Conn], each to its own shard, so their direct
+   writes would overlap: the partition lingers after each insert, which
+   switches threads mid-write.  They share the domain's commit-deferral
+   table, so one thread's crash cleanup or epoch advance must never drop
+   or skip the other's deferred lines.  A crash at a random store or flush
+   fires in one of them; after power failure every acked put must be
+   present.
+   Returns (acked puts missing after recovery, crashes fired). *)
+let shared_domain_campaign ~states ~seed =
+  let cfg =
+    { Server.shards = 2; batch = 8; queue_cap = 64;
+      mode = Server.Epoch EC.default_cfg }
+  in
+  let per_thread = 30 in
+  let keys = Array.init 2 (fun sid -> shard_keys cfg sid per_thread) in
+  let run_traffic srv =
+    let acked = Array.make 2 [] in
+    let writer sid () =
+      let conn = Server.Conn.create srv in
+      let stop = ref false in
+      List.iteri
+        (fun i k ->
+          if not !stop then
+            match via_conn conn { Wire.rid = i; ops = [ Wire.Put (ik k, 3 * k) ] } with
+            | { Wire.status = Wire.Ok; replies = [ Wire.Done true ]; _ } ->
+                acked.(sid) <- k :: acked.(sid)
+            | _ -> stop := true)
+        keys.(sid)
+    in
+    let ts = List.init 2 (fun sid -> Thread.create (writer sid) ()) in
+    List.iter Thread.join ts;
+    Array.to_list acked |> List.concat
+  in
+  let mk_parts () =
+    Array.init cfg.Server.shards (fun _ -> lingering_art ~linger:0.0002 ())
+  in
+  let ev =
+    Servecrash.fresh_env ();
+    let srv = Server.start cfg (mk_parts ()) in
+    let ev =
+      Faultinject.count_events (fun () -> ignore (run_traffic srv))
+    in
+    Server.stop srv;
+    ev
+  in
+  let rng = Util.Rng.create seed in
+  let missing = ref 0 and crashes = ref 0 in
+  for state = 1 to states do
+    Servecrash.fresh_env ();
+    let parts = mk_parts () in
+    let srv = Server.start cfg parts in
+    (* Alternate a crash mid-apply with one inside an epoch advance, where
+       the flushes of the other thread's deferred lines may be running. *)
+    let draw n = 1 + Util.Rng.below rng (max 1 n) in
+    Faultinject.arm
+      (if state land 1 = 0 then
+         Faultinject.Crash_at_store { k = draw ev.Faultinject.stores }
+       else
+         Faultinject.Crash_at_flush
+           { site = None; k = draw ev.Faultinject.flushes });
+    let acked = run_traffic srv in
+    if Server.crashed srv then incr crashes;
+    Server.stop srv;
+    Faultinject.disarm ();
+    Pmem.Crash.disarm ();
+    Pmem.sanitize_sync ();
+    Pmem.simulate_power_failure ();
+    Array.iter (fun p -> p.Server.p_recover ()) parts;
+    List.iter
+      (fun k ->
+        let p = parts.(Server.shard_of_key cfg (ik k)) in
+        if p.Server.p_lookup (ik k) <> Some (3 * k) then incr missing)
+      acked
+  done;
+  (!missing, !crashes)
+
+let test_direct_write_shared_domain () =
+  with_env (fun () ->
+      let missing, crashes = shared_domain_campaign ~states:8 ~seed:61 in
+      Alcotest.(check bool) "crashes fired" true (crashes > 0);
+      Alcotest.(check int) "acked puts lost across power failure" 0 missing)
+
+(* A partition whose insert of [hold] blocks until [gate] opens, so a
+   direct write can be caught holding its claim. *)
+let gated_art ~entered ~gate () =
+  let p = art_part () in
+  {
+    p with
+    Server.p_insert =
+      (fun k v ->
+        if k = "hold" then begin
+          Atomic.set entered true;
+          while not (Atomic.get gate) do
+            Unix.sleepf 0.001
+          done
+        end;
+        p.Server.p_insert k v);
+  }
+
+(* [stop] returns only once the claim is released (a campaign power-fails
+   right after it), and a submitter waiting for the claimed shard gets
+   [Shutdown] from [stop] or [kill]; the holder's own write, fenced by its
+   own advance, is acknowledged. *)
+let test_direct_write_stop_and_kill () =
+  with_env (fun () ->
+      let cfg =
+        { Server.shards = 1; batch = 8; queue_cap = 64;
+          mode = Server.Epoch EC.default_cfg }
+      in
+      let put srv rid k () = Server.submit srv { Wire.rid; ops = [ Wire.Put (k, rid) ] } in
+      List.iter
+        (fun action ->
+          let entered = Atomic.make false and gate = Atomic.make false in
+          let srv = Server.start cfg [| gated_art ~entered ~gate () |] in
+          (* The idle worker may not be waiting yet: retry until a small
+             write has gone direct, so the holder below can claim. *)
+          let tries = ref 0 in
+          while stat srv "direct_writes" = 0 && !tries < 1000 do
+            ignore (put srv 0 (ik 1) ());
+            incr tries;
+            Unix.sleepf 0.001
+          done;
+          let holder = Domain.spawn (put srv 1 "hold") in
+          while not (Atomic.get entered) do
+            Unix.sleepf 0.001
+          done;
+          let waiter = Domain.spawn (put srv 2 (ik 2)) in
+          Unix.sleepf 0.01;
+          let stopped = Atomic.make false in
+          let stopper =
+            match action with
+            | `Stop ->
+                Some
+                  (Domain.spawn (fun () ->
+                       Server.stop srv;
+                       Atomic.set stopped true))
+            | `Kill ->
+                Server.kill srv;
+                None
+          in
+          let w = Domain.join waiter in
+          Alcotest.(check bool) "waiter answered Shutdown" true
+            (w.Wire.status = Wire.Shutdown);
+          Unix.sleepf 0.02;
+          Alcotest.(check bool) "stop waits for the claim" false
+            (Atomic.get stopped);
+          Atomic.set gate true;
+          let h = Domain.join holder in
+          Alcotest.(check bool) "holder's fenced write acked" true
+            (h.Wire.status = Wire.Ok);
+          (match stopper with
+          | Some d ->
+              Domain.join d;
+              Alcotest.(check bool) "stop returned after the release" true
+                (Atomic.get stopped)
+          | None -> Server.stop srv))
+        [ `Stop; `Kill ])
+
+(* Which requests may go direct: a request of at most [batch] point ops is
+   counted as a direct write or a fallback; one of [batch + 1] puts and a
+   transaction take the queue and touch neither counter.  With spans on, a
+   direct write's op has no queue and no epoch-wait time, and every
+   shard's phase histograms keep one sample per ack. *)
+let test_direct_write_routing () =
+  with_env (fun () ->
+      Obs.reset_all ();
+      Obs.Span.set_enabled true;
+      Fun.protect
+        ~finally:(fun () -> Obs.Span.set_enabled false)
+        (fun () ->
+          let cfg =
+            { Server.shards = 2; batch = 4; queue_cap = 64;
+              mode = Server.Epoch EC.default_cfg }
+          in
+          let srv = Server.start cfg (Array.init 2 (fun _ -> art_part ())) in
+          let routed () =
+            stat srv "direct_writes" + stat srv "direct_write_fallbacks"
+          in
+          let submit rid ops =
+            let r = Server.submit srv { Wire.rid; ops } in
+            Alcotest.(check bool) "request served" true (r.Wire.status = Wire.Ok)
+          in
+          let tries = ref 0 in
+          while stat srv "direct_writes" = 0 && !tries < 1000 do
+            submit 0 [ Wire.Put (ik 1, 1) ];
+            incr tries;
+            Unix.sleepf 0.001
+          done;
+          Alcotest.(check bool) "a small write went direct" true
+            (stat srv "direct_writes" > 0);
+          let r0 = routed () in
+          submit 1 (List.init 4 (fun i -> Wire.Put (ik (10 + i), i)));
+          Alcotest.(check int) "batch-sized request tried directly" (r0 + 4)
+            (routed ());
+          let r1 = routed () in
+          submit 2 (List.init 5 (fun i -> Wire.Put (ik (20 + i), i)));
+          Alcotest.(check int) "batch + 1 puts take the queue" r1 (routed ());
+          submit 3 [ Wire.Txn [ Wire.Put (ik 30, 1); Wire.Put (ik 31, 2) ] ];
+          Alcotest.(check int) "a transaction takes the queue" r1 (routed ());
+          Server.stop srv;
+          let direct_spans =
+            List.filter
+              (fun sp ->
+                sp.Obs.Span.t_enqueue = sp.Obs.Span.t_submit
+                && sp.Obs.Span.t_dequeue = sp.Obs.Span.t_submit)
+              (Obs.Span.dump ())
+          in
+          Alcotest.(check bool) "direct writes spanned" true
+            (List.length direct_spans >= stat srv "direct_writes");
+          List.iter
+            (fun sp ->
+              Alcotest.(check int) "no queue time" 0 (Obs.Span.queue_ns sp);
+              Alcotest.(check int) "no epoch wait" 0 (Obs.Span.epoch_ns sp))
+            direct_spans;
+          let f = Server.stats_snapshot srv in
+          for sid = 0 to cfg.Server.shards - 1 do
+            let sf k = List.assoc (Printf.sprintf "shard.%d.%s" sid k) f in
+            List.iter
+              (fun phase ->
+                Alcotest.(check int)
+                  (Printf.sprintf "shard %d %s samples" sid phase)
+                  (sf "ack_ns.count")
+                  (sf (phase ^ "_ns.count")))
+              [ "queue"; "apply"; "epoch_wait"; "fence" ]
+          done))
+
 let () =
   let q = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "kvserve"
@@ -1867,5 +2208,20 @@ let () =
             test_direct_read_every_lockfree_index;
           Alcotest.test_case "Shutdown after stop or kill" `Quick
             test_direct_read_after_stop_and_kill;
+        ] );
+      ( "direct-write",
+        [
+          Alcotest.test_case "crash campaign" `Quick
+            test_direct_write_crash_campaign;
+          Alcotest.test_case "direct reads survive a crash" `Quick
+            test_direct_write_read_durability;
+          Alcotest.test_case "mutations are caught" `Quick
+            test_direct_write_mutations_caught;
+          Alcotest.test_case "systhreads sharing a domain" `Quick
+            test_direct_write_shared_domain;
+          Alcotest.test_case "stop and kill with a claim held" `Quick
+            test_direct_write_stop_and_kill;
+          Alcotest.test_case "queued-path routing and spans" `Quick
+            test_direct_write_routing;
         ] );
     ]
