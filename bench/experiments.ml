@@ -91,10 +91,10 @@ let fig5 cfg =
 
 (* clwb and mfence per insert: measured single-threaded over the second half
    of a load (the table warm, rehashes amortized in). *)
-let flush_counters ?(nloaded = 40_000) build =
+let flush_counters build =
   reset_env ();
   let p =
-    Ycsb.prepare ~workload:Ycsb.Load_a ~kind:Ycsb.Randint ~nloaded ~nops:0
+    Ycsb.prepare ~workload:Ycsb.Load_a ~kind:Ycsb.Randint ~nloaded:40_000 ~nops:0
       ~threads:1 ~seed:7 ()
   in
   let d = build p in
@@ -340,7 +340,7 @@ let micro () =
 
 let now_ns () = Int64.to_int (Monotonic_clock.now ())
 
-let micro_pmem_measure ?(threads = 4) () =
+let micro_pmem_measure ~threads =
   reset_env ();
   let module W = Pmem.Words in
   let module R = Pmem.Refs in
@@ -552,7 +552,7 @@ let micro_pmem_sanitize_measure () =
 
 let micro_pmem cfg =
   let threads = max 2 cfg.threads in
-  let single, multi = micro_pmem_measure ~threads () in
+  let single, multi = micro_pmem_measure ~threads in
   Report.print_table
     ~title:"micro-pmem: substrate accessor cost, single domain (fast mode)"
     ~header:[ "op"; "ns/op" ]
@@ -761,3 +761,126 @@ let latency cfg =
             (Util.Histogram.mean h)
       | None -> ())
     indexes
+
+(* --- E21/E25: extension — the serving layer's persist modes ---------------------- *)
+
+module Server = Kvserve.Server
+module Loadgen = Kvserve.Loadgen
+
+let serve_modes = [ Server.Per_op; Server.Epoch Kvserve.Epoch_ctl.default_cfg ]
+
+(* One closed-loop cell: [lg]'s traffic from [cfg.threads] workers against
+   a fresh server over [shards] P-ART partitions, sized so the cell acks
+   about [cfg.nops] operations.  A 50-request warmup on a distinct seed is
+   excluded from the ack histogram and the flush/fence counts.  Returns
+   the load generator's outcome and the row's measured cells: acked ops,
+   kops/s, ack p50/p99 (us), clwb and sfence per acked op. *)
+let serve_measure cfg ~shards ~mode lg =
+  reset_env ();
+  let workers = max 1 cfg.threads in
+  let opr = max lg.Loadgen.ops_per_request lg.Loadgen.txn_ops in
+  let lg =
+    {
+      lg with
+      Loadgen.workers;
+      requests = max 1 (cfg.nops / (workers * opr));
+      seed = cfg.seed;
+    }
+  in
+  let batch = 32 in
+  let srv =
+    Server.start
+      { Server.shards; batch; queue_cap = max (4 * batch) (workers * opr); mode }
+      (Array.init shards (fun _ -> I.partition I.art ()))
+  in
+  ignore (Loadgen.run srv { lg with requests = 50; seed = cfg.seed + 7919 });
+  Obs.Hist.reset (Server.ack_hist srv);
+  let s0 = Pmem.Stats.snapshot () in
+  let out = Loadgen.run srv lg in
+  Server.stop srv;
+  let d = Pmem.Stats.(diff (snapshot ()) s0) in
+  let ack = Obs.Hist.merged (Server.ack_hist srv) in
+  let ops = float_of_int (max 1 out.Loadgen.ops_acked) in
+  let us q = Report.f2 (float_of_int (Util.Histogram.percentile ack q) /. 1e3) in
+  ( out,
+    [
+      string_of_int out.Loadgen.ops_acked;
+      Report.f2 (ops /. (float_of_int (max 1 out.Loadgen.elapsed_ns) /. 1e6));
+      us 0.50;
+      us 0.99;
+      Report.f2 (float_of_int d.Pmem.Stats.s_clwb /. ops);
+      Report.f2 (float_of_int d.Pmem.Stats.s_sfence /. ops);
+    ] )
+
+let measured_header =
+  [ "ops"; "kops/s"; "ack p50 us"; "ack p99 us"; "clwb/op"; "sfence/op" ]
+
+(* E21: 16-put requests over 64 hot keys, {2, 4} shards x {per_op, epoch}.
+   Epoch mode should spend no more clwb/op and far fewer sfence/op than
+   the per-op ablation (test_kvserve's "flush and fence saving vs per-op"
+   pins both counts). *)
+let serve cfg =
+  let lg =
+    {
+      Loadgen.default_cfg with
+      ops_per_request = 16;
+      write_pct = 100;
+      read_space = 64;
+      mode = Loadgen.Overwrite 64;
+    }
+  in
+  let rows =
+    List.concat_map
+      (fun shards ->
+        List.map
+          (fun mode ->
+            string_of_int shards :: Server.mode_name mode
+            :: snd (serve_measure cfg ~shards ~mode lg))
+          serve_modes)
+      [ 2; 4 ]
+  in
+  Report.print_table
+    ~title:
+      (Printf.sprintf
+         "E21: serving persist modes, P-ART, 16-put overwrite requests, %d \
+          workers"
+         (max 1 cfg.threads))
+    ~header:("shards" :: "mode" :: measured_header)
+    rows
+
+(* E25: all-transaction traffic, one failure-atomic batch of {1, 4, 16}
+   puts per request, 2 shards x {per_op, epoch}.  Each transaction pays a
+   constant sfence overhead (WAL begin, data flush, commit flip) on top of
+   the per-member undo append, so sfence per member op falls as members
+   grow (test_txn's "fence amortization" pins it). *)
+let txn cfg =
+  let rows =
+    List.concat_map
+      (fun mode ->
+        List.map
+          (fun txn_ops ->
+            let lg =
+              {
+                Loadgen.default_cfg with
+                ops_per_request = 1;
+                write_pct = 100;
+                read_space = 64;
+                txn_pct = 100;
+                txn_ops;
+              }
+            in
+            let out, cells = serve_measure cfg ~shards:2 ~mode lg in
+            string_of_int txn_ops :: Server.mode_name mode
+            :: string_of_int out.Loadgen.txns_acked
+            :: string_of_int out.Loadgen.txns_aborted
+            :: cells)
+          [ 1; 4; 16 ])
+      serve_modes
+  in
+  Report.print_table
+    ~title:
+      (Printf.sprintf
+         "E25: transaction batches, P-ART, 2 shards, %d workers (per member op)"
+         (max 1 cfg.threads))
+    ~header:("members" :: "mode" :: "txns" :: "aborted" :: measured_header)
+    rows

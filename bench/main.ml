@@ -4,74 +4,62 @@
 
      dune exec bench/main.exe -- fig4a fig5 --keys 1000000 --threads 8
 
-   Experiments: fig4a fig4b fig4c fig4d fig5 table4 woart crash durability
-   taxonomy micro ablation single  (see DESIGN.md, E1-E13). *)
+   The experiments are listed in [experiments] below and by --help (see
+   DESIGN.md's experiment index). *)
 
 open Cmdliner
 
-let all_experiments =
+let experiments =
   [
-    "fig4a"; "fig4b"; "fig4c"; "fig4d"; "fig5"; "table4"; "woart"; "crash";
-    "durability"; "taxonomy"; "micro"; "micro-pmem"; "ablation"; "single";
-    "overhead"; "recovery"; "zipf"; "latency";
+    ("fig4a", fun cfg -> Experiments.fig4 cfg Ycsb.Randint);
+    ("fig4b", fun cfg -> Experiments.fig4 cfg Ycsb.Strkey);
+    ("fig4c", fun _ -> Experiments.fig4c ());
+    ("fig4d", fun _ -> Experiments.fig4d ());
+    ("fig5", Experiments.fig5);
+    ("table4", fun _ -> Experiments.table4 ());
+    ("woart", Experiments.woart_comparison);
+    ("crash", Experiments.crash_campaign);
+    ("durability", fun _ -> Experiments.durability ());
+    ("taxonomy", fun _ -> Experiments.taxonomy ());
+    ("micro", fun _ -> Experiments.micro ());
+    ("micro-pmem", Experiments.micro_pmem);
+    ("ablation", Experiments.ablation);
+    ("single", Experiments.single_thread_hash);
+    ("overhead", Experiments.conversion_overhead);
+    ("recovery", Experiments.recovery_time);
+    ("zipf", Experiments.zipfian);
+    ("latency", Experiments.latency);
+    ("serve", Experiments.serve);
+    ("txn", Experiments.txn);
   ]
 
-let run_experiment cfg name =
-  match name with
-  | "fig4a" -> Experiments.fig4 cfg Ycsb.Randint
-  | "fig4b" -> Experiments.fig4 cfg Ycsb.Strkey
-  | "fig4c" -> Experiments.fig4c ()
-  | "fig4d" -> Experiments.fig4d ()
-  | "fig5" -> Experiments.fig5 cfg
-  | "table4" -> Experiments.table4 ()
-  | "woart" -> Experiments.woart_comparison cfg
-  | "crash" -> Experiments.crash_campaign cfg
-  | "durability" -> Experiments.durability ()
-  | "taxonomy" -> Experiments.taxonomy ()
-  | "micro" -> Experiments.micro ()
-  | "micro-pmem" -> Experiments.micro_pmem cfg
-  | "ablation" -> Experiments.ablation cfg
-  | "single" -> Experiments.single_thread_hash cfg
-  | "overhead" -> Experiments.conversion_overhead cfg
-  | "recovery" -> Experiments.recovery_time cfg
-  | "zipf" -> Experiments.zipfian cfg
-  | "latency" -> Experiments.latency cfg
-  | other ->
-      Printf.eprintf "unknown experiment %S (have: %s)\n" other
-        (String.concat " " all_experiments)
+let names = String.concat " " (List.map fst experiments)
 
-let main experiments keys ops threads states seed json smoke =
-  let cfg =
-    if smoke then
-      { Experiments.nloaded = 2_000; nops = 2_000; threads = 2; states = 10; seed }
-    else { Experiments.nloaded = keys; nops = ops; threads; states; seed }
-  in
-  Printf.printf
-    "RECIPE reproduction benchmarks — keys=%d ops=%d threads=%d states=%d seed=%d%s\n"
-    cfg.Experiments.nloaded cfg.Experiments.nops cfg.Experiments.threads
-    cfg.Experiments.states cfg.Experiments.seed
-    (if smoke then " (smoke)" else "");
-  Printf.printf
-    "(paper setup: 64M keys, 16 threads on Optane DC PMM; scale with --keys/--ops/--threads)\n";
-  (match json with
-  | Some file -> Json_export.write cfg ~smoke file
-  | None -> ());
-  (* --json with no named experiments is a pure export run; otherwise fall
-     back to the usual default of every experiment. *)
-  let todo =
-    if experiments <> [] then experiments
-    else if json = None then all_experiments
-    else []
-  in
-  List.iter (run_experiment cfg) todo
+let main todo keys ops threads states seed =
+  match List.filter (fun n -> not (List.mem_assoc n experiments)) todo with
+  | bad :: _ ->
+      Printf.eprintf "unknown experiment %S (one of: %s)\n" bad names;
+      1
+  | [] ->
+      let cfg =
+        { Experiments.nloaded = keys; nops = ops; threads; states; seed }
+      in
+      Printf.printf
+        "RECIPE reproduction benchmarks — keys=%d ops=%d threads=%d states=%d \
+         seed=%d\n"
+        keys ops threads states seed;
+      Printf.printf
+        "(paper setup: 64M keys, 16 threads on Optane DC PMM; scale with \
+         --keys/--ops/--threads)\n";
+      let todo = if todo = [] then List.map fst experiments else todo in
+      List.iter (fun n -> (List.assoc n experiments) cfg) todo;
+      0
 
 let experiments_arg =
   Arg.(
     value & pos_all string []
     & info [] ~docv:"EXPERIMENT"
-        ~doc:
-          "Experiments to run (default: all). One of: fig4a fig4b fig4c fig4d \
-           fig5 table4 woart crash durability taxonomy micro ablation single.")
+        ~doc:("Experiments to run (default: all). One of: " ^ names ^ "."))
 
 let keys_arg =
   Arg.(
@@ -98,31 +86,12 @@ let states_arg =
 let seed_arg =
   Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Workload seed.")
 
-let json_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "json" ] ~docv:"FILE"
-        ~doc:
-          "Write a machine-readable JSON report to $(docv): per-index \
-           throughput, latency percentiles per op type, clwb/sfence/LLC \
-           counts per operation, and per-site flush attribution.  Without \
-           named experiments, only the export runs.")
-
-let smoke_arg =
-  Arg.(
-    value & flag
-    & info [ "smoke" ]
-        ~doc:
-          "Tiny fixed sizes (2K keys, 2K ops, 2 threads) for CI smoke runs; \
-           overrides --keys/--ops/--threads.")
-
 let cmd =
   let doc = "Regenerate the tables and figures of the RECIPE paper (SOSP '19)" in
   Cmd.v
     (Cmd.info "recipe-bench" ~doc)
     Term.(
       const main $ experiments_arg $ keys_arg $ ops_arg $ threads_arg
-      $ states_arg $ seed_arg $ json_arg $ smoke_arg)
+      $ states_arg $ seed_arg)
 
-let () = exit (Cmd.eval cmd)
+let () = exit (Cmd.eval' cmd)

@@ -518,15 +518,24 @@ let rec to_leaf t probe pid parent =
         | None -> ());
         to_leaf t probe sib parent
 
+(* The root page is the one page whose kind changes: a root split swings
+   page 0 from a leaf to an internal node after a descent may have reached
+   it as a leaf.  Callers that read a page expecting a leaf re-descend from
+   it when it is internal. *)
 let rec find_leaf_value t probe pid parent =
-  match leaf_search t (mapping_get t pid) probe with
-  | Found v -> Some v
-  | Absent | Not_here -> None
-  | Sideways (sep, sib) ->
-      (match parent with
-      | Some pp -> add_index t pp sep sib
-      | None -> ());
-      find_leaf_value t probe sib parent
+  let node = mapping_get t pid in
+  if not (node_leaf node) then
+    let pid, parent = to_leaf t probe pid parent in
+    find_leaf_value t probe pid parent
+  else
+    match leaf_search t node probe with
+    | Found v -> Some v
+    | Absent | Not_here -> None
+    | Sideways (sep, sib) ->
+        (match parent with
+        | Some pp -> add_index t pp sep sib
+        | None -> ());
+        find_leaf_value t probe sib parent
 
 let lookup t probe =
   let pid, parent = to_leaf t probe 0 None in
@@ -538,35 +547,39 @@ let rec write_op t probe make_op present_result absent_result =
   let pid, parent = to_leaf t probe 0 None in
   let rec attempt pid parent =
     let node = mapping_get t pid in
-    match leaf_search t node probe with
-    | Sideways (sep, sib) ->
-        (match parent with
-        | Some pp -> add_index t pp sep sib
-        | None -> ());
-        attempt sib parent
-    | (Found _ | Absent | Not_here) as hit -> (
-        let decided =
-          match hit with
-          | Found v -> `Present v
-          | Absent | Not_here -> `Absent
-          | Sideways _ -> assert false
-        in
-        match make_op decided with
-        | None -> (
-            match decided with
-            | `Present v -> present_result v
-            | `Absent -> absent_result)
-        | Some dop ->
-            let d = make_delta ~leaf:true dop node in
-            Pmem.Crash.point ~site:s_delta ();
-            if mapping_cas ~site:s_delta t pid ~expected:node ~desired:(NDelta d) then begin
-              maybe_consolidate t pid parent;
+    if not (node_leaf node) then
+      let pid, parent = to_leaf t probe pid parent in
+      attempt pid parent
+    else
+      match leaf_search t node probe with
+      | Sideways (sep, sib) ->
+          (match parent with
+          | Some pp -> add_index t pp sep sib
+          | None -> ());
+          attempt sib parent
+      | (Found _ | Absent | Not_here) as hit -> (
+          let decided =
+            match hit with
+            | Found v -> `Present v
+            | Absent | Not_here -> `Absent
+            | Sideways _ -> assert false
+          in
+          match make_op decided with
+          | None -> (
               match decided with
               | `Present v -> present_result v
-              | `Absent -> absent_result
-            end
-            else (* CAS lost: abort and restart from the root (§6.3) *)
-              write_op t probe make_op present_result absent_result)
+              | `Absent -> absent_result)
+          | Some dop ->
+              let d = make_delta ~leaf:true dop node in
+              Pmem.Crash.point ~site:s_delta ();
+              if mapping_cas ~site:s_delta t pid ~expected:node ~desired:(NDelta d) then begin
+                maybe_consolidate t pid parent;
+                match decided with
+                | `Present v -> present_result v
+                | `Absent -> absent_result
+              end
+              else (* CAS lost: abort and restart from the root (§6.3) *)
+                write_op t probe make_op present_result absent_result)
   in
   attempt pid parent
 
@@ -611,16 +624,18 @@ let scan t probe nwant f =
     let exception Done in
     let rec walk pid first =
       let node = mapping_get t pid in
-      let entries, has_high, _, next_pid = flatten_leaf t node in
-      List.iter
-        (fun (k, v) ->
-          if (not first) || t.ks.compare_probe probe k <= 0 then begin
-            if !emitted >= nwant then raise Done;
-            f (t.ks.to_key k) v;
-            incr emitted
-          end)
-        entries;
-      if has_high && next_pid > 0 then walk next_pid false
+      if not (node_leaf node) then walk (fst (to_leaf t probe pid None)) first
+      else
+        let entries, has_high, _, next_pid = flatten_leaf t node in
+        List.iter
+          (fun (k, v) ->
+            if (not first) || t.ks.compare_probe probe k <= 0 then begin
+              if !emitted >= nwant then raise Done;
+              f (t.ks.to_key k) v;
+              incr emitted
+            end)
+          entries;
+        if has_high && next_pid > 0 then walk next_pid false
     in
     let pid, _ = to_leaf t probe 0 None in
     (try walk pid true with Done -> ());

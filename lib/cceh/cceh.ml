@@ -9,8 +9,9 @@
    never overflow its children.
 
    Split protocol (segment lock held): build children s1/s0 copy-on-write,
-   persist them, then rewrite the directory pointers — the 1-half slots
-   ascending, then the 0-half slots ascending.  The recovery pass normalizes
+   persist them, then, under the directory lock that doubling also takes,
+   rewrite the directory pointers — the 1-half slots ascending, then the
+   0-half slots ascending.  The recovery pass normalizes
    each directory region to the segment its first slot points to, which
    rolls an interrupted split backward (nothing written yet survives in the
    children alone) or forward (the 0-half head was written, so both children
@@ -204,13 +205,20 @@ let lookup t k =
 (* --- write path ------------------------------------------------------------ *)
 
 (* Lock the segment currently covering [h], rechecking the directory after
-   acquisition (a split or doubling may have moved it). *)
+   acquisition (a split or doubling may have moved it).  [Stalled] is an
+   answer, not a crash: it gives the lock back, or every later writer of
+   the segment spins on it forever. *)
 let rec lock_segment t h =
   let d = get_dir t in
   let idx = segment_index d.depth h in
   let seg = R.get d.segs idx in
   Lock.lock seg.lock;
-  let d' = get_dir t in
+  let d' =
+    try get_dir t
+    with Stalled ->
+      Lock.unlock seg.lock;
+      raise Stalled
+  in
   if d' == d && R.get d.segs idx == seg then (d, idx, seg)
   else begin
     Lock.unlock seg.lock;
@@ -232,7 +240,11 @@ let copy_place seg k v =
       else false);
   assert !placed
 
-(* Split [seg] (lock held), rewriting the directory slots of its region. *)
+(* Split [seg] (lock held), rewriting the directory slots of its region.
+   The rewrite runs under [dir_lock], so a doubling copies the region
+   either before the first pointer store or after the last.  A doubling
+   that landed since [seg] was locked has already copied [d]: the children
+   are dropped unlinked and the caller retries against the new directory. *)
 let split t d idx seg =
   let l = seg.local_depth in
   let s0 = make_segment ~local_depth:(l + 1) in
@@ -249,20 +261,24 @@ let split t d idx seg =
   persist_segment ~site:s_split s1;
   Pmem.sfence ~site:s_split ();
   Pmem.Crash.point ~site:s_split ();
-  (* Directory region covered by [seg]. *)
-  let rs = 1 lsl (d.depth - l) in
-  let start = idx - (idx mod rs) in
-  let half = rs / 2 in
-  (* 1-half ascending first, then 0-half ascending: the order recovery's
-     region normalization relies on. *)
-  for j = start + half to start + rs - 1 do
-    P.commit_ref ~site:s_split d.segs j s1
-  done;
-  Pmem.Crash.point ~site:s_split ();
-  for j = start to start + half - 1 do
-    P.commit_ref ~site:s_split d.segs j s0
-  done;
-  Atomic.incr t.splits [@pm.volatile]
+  Lock.lock t.dir_lock;
+  if R.get t.dir 0 == d then begin
+    (* Directory region covered by [seg]. *)
+    let rs = 1 lsl (d.depth - l) in
+    let start = idx - (idx mod rs) in
+    let half = rs / 2 in
+    (* 1-half ascending first, then 0-half ascending: the order recovery's
+       region normalization relies on. *)
+    for j = start + half to start + rs - 1 do
+      P.commit_ref ~site:s_split d.segs j s1
+    done;
+    Pmem.Crash.point ~site:s_split ();
+    for j = start to start + half - 1 do
+      P.commit_ref ~site:s_split d.segs j s0
+    done;
+    Atomic.incr t.splits [@pm.volatile]
+  end;
+  Lock.unlock t.dir_lock
 
 (* Double the directory (caller saw [seen_depth]); atomic-record swap in the
    fixed version, split stores with a crash window in buggy mode. *)
@@ -301,6 +317,8 @@ let double t seen_depth =
     end
   end;
   Lock.unlock t.dir_lock
+
+let double_directory t = double t (get_dir t).depth
 
 let rec insert t k v =
   if k <= 0 then invalid_arg "Cceh.insert: key must be positive";

@@ -44,6 +44,10 @@ val global_depth : t -> int
 (** Number of segments currently reachable (tests). *)
 val segment_count : t -> int
 
+(** Double the directory now, as an insert overflowing a segment at global
+    depth does (tests: races a doubling against a split). *)
+val double_directory : t -> unit
+
 (** Number of segment splits performed so far — the statistic behind the
     paper's "117K segment splits on inserting 10M keys" observation. *)
 val split_count : t -> int

@@ -215,6 +215,38 @@ let test_concurrent_readers_writers () =
 
 (* --- Crash consistency (Condition #2: helping repairs) ----------------------------- *)
 
+(* A root split between a writer's descent and its leaf read.  The root
+   page is the one page that turns from a leaf into an internal node; a
+   writer that reached it as a leaf must not treat the internal node it
+   reads next as a leaf (a leaf delta on an internal chain, or a separator
+   read as a key).  A load hook parks the writer right after its descent
+   read page 0 and grows the root from another domain. *)
+let test_root_split_during_insert () =
+  reset ();
+  let t = bw () in
+  let main = Domain.self () and armed = ref true in
+  let load name _ _ _ =
+    if !armed && name = "bw.mapping" && Domain.self () = main then begin
+      armed := false;
+      Domain.join
+        (Domain.spawn (fun () ->
+             for i = 1 to 300 do
+               ignore (Bwtree.insert t (k (2 * i)) i)
+             done))
+    end
+  in
+  Fun.protect
+    ~finally:(fun () -> Pmem.Hook.set Pmem.Hook.Fault None)
+    (fun () ->
+      Pmem.Hook.set Pmem.Hook.Fault (Some { Pmem.Hook.noop with load });
+      Alcotest.(check bool) "parked insert" true (Bwtree.insert t (k 301) 7));
+  Alcotest.(check bool) "the root grew under the writer" false !armed;
+  Alcotest.(check (option int)) "parked key" (Some 7) (Bwtree.lookup t (k 301));
+  for i = 1 to 300 do
+    Alcotest.(check (option int)) "other key" (Some i)
+      (Bwtree.lookup t (k (2 * i)))
+  done
+
 let test_crash_campaign () =
   let helps = ref 0 in
   for point = 1 to 80 do
@@ -287,6 +319,8 @@ let () =
           Alcotest.test_case "inserts" `Quick test_concurrent_inserts;
           Alcotest.test_case "same keys" `Quick test_concurrent_same_keys;
           Alcotest.test_case "readers+writers" `Quick test_concurrent_readers_writers;
+          Alcotest.test_case "root split during an insert" `Quick
+            test_root_split_during_insert;
         ] );
       ("crash", [ Alcotest.test_case "campaign" `Quick test_crash_campaign ]);
       ("durability", [ Alcotest.test_case "no dirty lines" `Quick test_durability ]);

@@ -122,6 +122,70 @@ let test_concurrent_readers_during_splits () =
   Atomic.set stop true;
   Alcotest.(check int) "stable keys readable across splits" 0 (Domain.join rd)
 
+(* Doublings that land inside a split's directory rewrite.  The split
+   stores its region's 1-half pointers, then its 0-half ones; a doubling
+   that copied the directory in between would publish the new child for
+   the 1-half next to the old segment for the 0-half, and the next split
+   of the old segment would overwrite the child with a stale copy.  A
+   sfence hook on the split site parks the splitting domain after its
+   first directory commit and starts a doubling on another domain; the
+   split resumes once the doubling has finished or spins on a lock.  Every
+   third split is raced, eight in all: whether one race loses a key
+   depends on which half the retried insert hashes to. *)
+let test_doublings_during_splits () =
+  reset ();
+  let t = Cceh.create ~capacity:128 () in
+  let races = 8 and raced = ref 0 in
+  let split_seen = ref (-1) and fences = ref 0 and doubler = ref None in
+  let finished = Atomic.make false and spinning = Atomic.make false in
+  let sfence = function
+    | Some s
+      when !raced < races && Obs.Site.name s = Cceh.name ^ "/segment-split"
+      ->
+        let sc = Cceh.split_count t in
+        if sc <> !split_seen then begin
+          split_seen := sc;
+          fences := 0
+        end;
+        incr fences;
+        if !fences = 2 && sc mod 3 = 0 then begin
+          incr raced;
+          Atomic.set finished false;
+          Atomic.set spinning false;
+          doubler :=
+            Some
+              (Domain.spawn (fun () ->
+                   Cceh.double_directory t;
+                   Atomic.set finished true));
+          while not (Atomic.get finished || Atomic.get spinning) do
+            Domain.cpu_relax ()
+          done
+        end;
+        false
+    | _ -> false
+  in
+  let n = 3_000 in
+  Fun.protect
+    ~finally:(fun () ->
+      Pmem.Hook.set Pmem.Hook.Fault None;
+      Util.Lock.clear_abort_hook ())
+    (fun () ->
+      Util.Lock.set_abort_hook (fun () -> Atomic.set spinning true);
+      Pmem.Hook.set Pmem.Hook.Fault (Some { Pmem.Hook.noop with sfence });
+      for k = 1 to n do
+        ignore (Cceh.insert t k k);
+        (* Joined with no lock held, so a doubling parked on the
+           directory lock completes before the next split. *)
+        Option.iter Domain.join !doubler;
+        doubler := None
+      done);
+  Alcotest.(check int) "splits raced" races !raced;
+  for k = 1 to n do
+    if Cceh.lookup t k <> Some k then Alcotest.failf "lost key %d" k
+  done;
+  Alcotest.(check int) "every directory region points to one segment" 0
+    (Cceh.leak_sweep t).Recipe.Recovery.orphans
+
 (* --- Crash recovery -------------------------------------------------------- *)
 
 (* Crash at every point of a split-heavy insert burst; after recovery no
@@ -231,6 +295,8 @@ let () =
           Alcotest.test_case "inserts" `Quick test_concurrent_inserts;
           Alcotest.test_case "reads during splits" `Quick
             test_concurrent_readers_during_splits;
+          Alcotest.test_case "doublings during splits" `Quick
+            test_doublings_during_splits;
         ] );
       ( "crash",
         [

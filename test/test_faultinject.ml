@@ -174,30 +174,38 @@ let fastfair = Option.get (I.find Fastfair.name)
 let fastfair_split_bug = Option.get (I.variant fastfair "split-order")
 
 (* The capstone: crash a multi-domain run at arbitrary substrate events,
-   power-fail, recover (recovery itself crashed and retried), leak-sweep,
-   resume traffic on fresh domains, and lose nothing that was acked. *)
+   power-fail, recover (recovery itself crashed and retried, in the first
+   input), leak-sweep, resume traffic on fresh domains, and lose nothing
+   that was acked. *)
 let test_recovery_under_load_all () =
-  let total_crashes = ref 0 in
   List.iter
-    (fun e ->
-      let name = e.I.name and make = I.subject e in
-      let r =
-        Crashtest.recovery_under_load_campaign ~make ~states:6 ~load:120
-          ~ops:120 ~threads:4 ~seed:19 ~faults:true
-          ~crash_during_recovery:true ()
-      in
-      let b = r.Crashtest.base in
-      if
-        b.Crashtest.lost_keys <> 0 || b.Crashtest.wrong_values <> 0
-        || b.Crashtest.stalled <> 0
-      then
-        Alcotest.failf "%s failed recovery-under-load: %s" name
-          (Format.asprintf "%a" Crashtest.pp_load_report r);
-      if r.Crashtest.recoveries < b.Crashtest.states_tested then
-        Alcotest.failf "%s: fewer recoveries than states" name;
-      total_crashes := !total_crashes + b.Crashtest.crashes_fired)
-    I.all;
-  Alcotest.(check bool) "some faults actually fired" true (!total_crashes > 0)
+    (fun (states, load, seed, crash_during_recovery) ->
+      let total_crashes = ref 0 in
+      List.iter
+        (fun e ->
+          let name = e.I.name and make = I.subject e in
+          let r =
+            Crashtest.recovery_under_load_campaign ~make ~states ~load
+              ~ops:load ~threads:4 ~seed ~faults:true ~crash_during_recovery
+              ()
+          in
+          let b = r.Crashtest.base in
+          if
+            b.Crashtest.lost_keys <> 0 || b.Crashtest.wrong_values <> 0
+            || b.Crashtest.stalled <> 0
+          then
+            Alcotest.failf "%s failed recovery-under-load (seed %d): %s" name
+              seed
+              (Format.asprintf "%a" Crashtest.pp_load_report r);
+          if r.Crashtest.recoveries < b.Crashtest.states_tested then
+            Alcotest.failf "%s: fewer recoveries than states (seed %d)" name
+              seed;
+          total_crashes := !total_crashes + b.Crashtest.crashes_fired)
+        I.all;
+      Alcotest.(check bool)
+        (Printf.sprintf "seed %d: some faults actually fired" seed)
+        true (!total_crashes > 0))
+    [ (6, 120, 19, true); (5, 150, 7, false) ]
 
 (* --- mutation tests: recovery repairs a deliberately broken structure --- *)
 

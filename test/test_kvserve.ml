@@ -891,7 +891,19 @@ let test_stats_endpoint () =
                     (Printf.sprintf "shard %d %s p50<=p99" sid phase)
                     true
                     (sf (phase ^ "_ns.p50") <= sf (phase ^ "_ns.p99")))
-              [ "queue"; "apply"; "fence"; "ack" ]
+              [ "queue"; "apply"; "fence"; "ack" ];
+            (* Per span the pipeline phases sum to at most the ack time, so
+               their means do too: the breakdown attributes ack latency.
+               Slack of 5% + 1 us for the separate clock reads. *)
+            let parts =
+              List.fold_left
+                (fun a phase -> a + sf (phase ^ "_ns.mean_x1000"))
+                0
+                [ "queue"; "apply"; "epoch_wait"; "fence" ]
+            and ack = sf "ack_ns.mean_x1000" in
+            if acks > 0 && parts > (ack * 105 / 100) + 1_000_000 then
+              Alcotest.failf "shard %d: phase means sum %d > ack mean %d (x1000 ns)"
+                sid parts ack
           done;
           Alcotest.(check bool) "every put spanned" true
             (f "shard.0.ack_ns.count" + f "shard.1.ack_ns.count" >= nput);
@@ -1168,10 +1180,10 @@ let test_epoch_acked_survive_power_failure () =
 
 (* Flush and fence counts of one write-heavy overwrite stream over a small
    key space, identical traffic in every mode. *)
-let flushes_for ~mode () =
+let flushes_for ~shards ~mode () =
   fresh_env ();
-  let cfg = { Server.shards = 2; batch = 32; queue_cap = 256; mode } in
-  let srv = Server.start cfg (Array.init 2 (fun _ -> art_part ())) in
+  let cfg = { Server.shards; batch = 32; queue_cap = 256; mode } in
+  let srv = Server.start cfg (Array.init shards (fun _ -> art_part ())) in
   let lg =
     {
       Loadgen.default_cfg with
@@ -1194,23 +1206,29 @@ let flushes_for ~mode () =
 (* Epoch persistence — closing after every batch ([max_ops = 1]) or under
    the adaptive default — must spend no more flushes than per-op persist
    and under a quarter of its fences: the epoch fence covers at least one
-   whole batch. *)
+   whole batch.  Over 2 and 4 shards, the E21 grid. *)
 let test_epoch_persist_saves_fences () =
   with_env (fun () ->
-      let clwb_p, sfence_p = flushes_for ~mode:Server.Per_op () in
       List.iter
-        (fun (name, ecfg) ->
-          let clwb_e, sfence_e = flushes_for ~mode:(Server.Epoch ecfg) () in
-          if not (clwb_e <= clwb_p) then
-            Alcotest.failf "%s flushed more than per-op: %d vs %d" name clwb_e
-              clwb_p;
-          if not (sfence_e < sfence_p / 4) then
-            Alcotest.failf "%s fences not amortized: %d vs %d (per-op)" name
-              sfence_e sfence_p)
-        [
-          ("max_ops=1", { EC.default_cfg with max_ops = 1 });
-          ("default epoch", EC.default_cfg);
-        ])
+        (fun shards ->
+          let clwb_p, sfence_p = flushes_for ~shards ~mode:Server.Per_op () in
+          List.iter
+            (fun (name, ecfg) ->
+              let clwb_e, sfence_e =
+                flushes_for ~shards ~mode:(Server.Epoch ecfg) ()
+              in
+              if not (clwb_e <= clwb_p) then
+                Alcotest.failf "%d shards, %s flushed more than per-op: %d vs %d"
+                  shards name clwb_e clwb_p;
+              if not (sfence_e < sfence_p / 4) then
+                Alcotest.failf
+                  "%d shards, %s fences not amortized: %d vs %d (per-op)" shards
+                  name sfence_e sfence_p)
+            [
+              ("max_ops=1", { EC.default_cfg with max_ops = 1 });
+              ("default epoch", EC.default_cfg);
+            ])
+        [ 2; 4 ])
 
 (* --- crash mid-serving ----------------------------------------------------- *)
 

@@ -11,6 +11,8 @@
      single-op traffic through the real sharded server equals a
      sequential Hashtbl model that applies committed batches atomically,
      on an ordered (P-ART) and a hash (P-CLHT) partition set;
+   - fence amortization: sfence per member op falls from 1- to 16-member
+     batches in both persist modes;
    - crash campaigns over four configurations (single- and cross-shard
      batches, P-ART and P-CLHT) with faults aimed before, inside, and
      after the commit-record flip: zero partially applied batches, zero
@@ -257,6 +259,55 @@ let test_differential_clht () =
                max_delay_ns = 100_000;
              }))
 
+(* --- fence amortization ---------------------------------------------------- *)
+
+(* sfence per acked member op of all-transaction traffic with [members]
+   puts per batch, over 2 P-ART shards. *)
+let sfence_per_member ~mode ~members =
+  fresh_env ();
+  let srv =
+    Server.start
+      { Server.shards = 2; batch = 32; queue_cap = 128; mode }
+      (Array.init 2 (fun _ -> art_part ()))
+  in
+  let s0 = Pmem.Stats.snapshot () in
+  let out =
+    Loadgen.run srv
+      {
+        Loadgen.default_cfg with
+        workers = 2;
+        requests = 40;
+        ops_per_request = 1;
+        write_pct = 100;
+        read_space = 64;
+        txn_pct = 100;
+        txn_ops = members;
+        seed = 42;
+      }
+  in
+  let d = Pmem.Stats.(diff (snapshot ()) s0) in
+  Server.stop srv;
+  Alcotest.(check int)
+    (Printf.sprintf "%s, %d members: every txn acked" (Server.mode_name mode)
+       members)
+    (2 * 40) out.Loadgen.txns_acked;
+  float_of_int d.Pmem.Stats.s_sfence /. float_of_int out.Loadgen.ops_acked
+
+(* A transaction pays a constant sfence overhead (WAL begin, data flush,
+   commit flip) on top of the per-member undo append, so 16-member batches
+   spend fewer fences per member op than single-member ones, in both
+   persist modes (EXPERIMENTS.md E25). *)
+let test_fence_amortization () =
+  with_env (fun () ->
+      List.iter
+        (fun mode ->
+          let one = sfence_per_member ~mode ~members:1
+          and sixteen = sfence_per_member ~mode ~members:16 in
+          if not (sixteen < one) then
+            Alcotest.failf "%s: sfence/op %.2f at 16 members >= %.2f at 1"
+              (Server.mode_name mode) sixteen one)
+        [ Server.Per_op; Server.Epoch Epoch_ctl.default_cfg ])
+
 (* --- crash campaigns ------------------------------------------------------ *)
 
 (* Four configurations: {P-ART, P-CLHT} × {1 shard (standalone commit),
@@ -342,6 +393,11 @@ let () =
             test_differential_art;
           Alcotest.test_case "server vs atomic model, hash" `Quick
             test_differential_clht;
+        ] );
+      ( "amortization",
+        [
+          Alcotest.test_case "fence amortization" `Quick
+            test_fence_amortization;
         ] );
       ( "crash",
         [

@@ -134,24 +134,44 @@ let test_zipfian_skew () =
     true
     (4 * hottest <= r.Ycsb.ops)
 
-(* End-to-end on real indexes: load + every workload must complete and find
-   every read. *)
-let test_end_to_end_clht () =
-  reset ();
+(* End-to-end on every index of the registry: load + every applicable
+   workload ({!Ycsb.all_workloads} on ordered indexes, Load/A/B/C on hash
+   ones) completes,
+   finds every read, and reports ordered latency percentiles.  Load A's
+   measurement is the load itself. *)
+let test_end_to_end_all () =
   List.iter
-    (fun w ->
-      reset ();
-      let p =
-        Ycsb.prepare ~workload:w ~kind:Ycsb.Randint ~nloaded:2_000 ~nops:2_000
-          ~threads:2 ~seed:5 ()
+    (fun e ->
+      let workloads =
+        if Harness.Index.ordered e then Ycsb.all_workloads
+        else [ Ycsb.Load_a; Ycsb.A; Ycsb.B; Ycsb.C ]
       in
-      let d = Harness.Index.(driver (Option.get (find Clht.name))) p in
-      ignore (Ycsb.load p d);
-      let r = Ycsb.run p d in
-      Alcotest.(check int)
-        (Ycsb.workload_name w ^ ": all reads found")
-        0 r.Ycsb.reads_missed)
-    [ Ycsb.A; Ycsb.B; Ycsb.C ]
+      List.iter
+        (fun w ->
+          reset ();
+          let ctx = e.Harness.Index.name ^ "/" ^ Ycsb.workload_name w in
+          let p =
+            Ycsb.prepare ~workload:w ~kind:Ycsb.Randint ~nloaded:2_000
+              ~nops:2_000 ~threads:2 ~seed:5 ()
+          in
+          let d = Harness.Index.driver e p in
+          let r =
+            if w = Ycsb.Load_a then Ycsb.load ~latency:true p d
+            else begin
+              ignore (Ycsb.load p d);
+              Ycsb.run ~latency:true p d
+            end
+          in
+          Alcotest.(check int) (ctx ^ ": all reads found") 0 r.Ycsb.reads_missed;
+          match r.Ycsb.latency with
+          | Some h ->
+              let q = Util.Histogram.percentile h in
+              if not (q 0.50 <= q 0.99 && q 0.99 <= q 0.999) then
+                Alcotest.failf "%s: p50 %d, p99 %d, p99.9 %d out of order" ctx
+                  (q 0.50) (q 0.99) (q 0.999)
+          | None -> Alcotest.failf "%s: no latency samples" ctx)
+        workloads)
+    Harness.Index.all
 
 let test_end_to_end_art_scans () =
   reset ();
@@ -216,7 +236,8 @@ let () =
         ] );
       ( "end to end",
         [
-          Alcotest.test_case "clht all workloads" `Quick test_end_to_end_clht;
+          Alcotest.test_case "all indexes, all workloads" `Quick
+            test_end_to_end_all;
           Alcotest.test_case "art scans" `Quick test_end_to_end_art_scans;
           Alcotest.test_case "scan unsupported" `Quick test_scan_unsupported;
           Alcotest.test_case "latency by op type" `Quick test_latency_by_op;
